@@ -29,6 +29,7 @@ from .counting import (
     count_observations,
     project_classes,
     total_pair_count,
+    unique_rows,
 )
 from .inference import (
     FittedModel,
@@ -125,6 +126,7 @@ __all__ = [
     "score_reconstruction",
     "threshold_reconstruction",
     "total_pair_count",
+    "unique_rows",
     "write_paths_file",
     "write_reconstruction",
     "write_simulation",

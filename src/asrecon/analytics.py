@@ -18,9 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.special import entr
 
 from .counting import ClassTable, PairStore, project_classes
 from .inference import (
@@ -62,12 +59,19 @@ class Histogram:
         return min(max(idx, 0), len(self.counts) - 1)
 
 
+def _entr(x: np.ndarray) -> np.ndarray:
+    """-x log x elementwise, with 0 at x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log(x)
+    return np.where(x == 0.0, 0.0, h)
+
+
 def edge_entropy(q) -> np.ndarray | float:
     """Binary entropy of an edge posterior, in nats; 0 log 0 reads as 0."""
     arr = np.asarray(q, dtype=np.float64)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("edge probabilities must lie in [0, 1]")
-    h = entr(arr) + entr(1.0 - arr)
+    h = _entr(arr) + _entr(1.0 - arr)
     return float(h) if np.isscalar(q) or arr.ndim == 0 else h
 
 
@@ -287,6 +291,11 @@ def connectivity_stats(store: PairStore) -> ConnectivityStats:
     has the same leading eigenvector but also converges on bipartite
     components.
     """
+    # Imported here so that the CLI stages, which never call this, skip
+    # loading scipy.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = store.n_nodes
     positive = store.vectors[:, 0::2].any(axis=1)
     i, j = store.pairs_ij()

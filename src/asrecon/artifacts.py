@@ -10,6 +10,7 @@ with identical inputs produces byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -58,6 +59,21 @@ def _write_header(fh: TextIO, header: Sequence[str]) -> None:
         fh.write(line.rstrip("\n") + "\n")
 
 
+def _load_matrix(source, path: str | Path, dtype, n_cols: int, layout: str) -> np.ndarray:
+    """The data rows of `source` (a path or an open file) as an (n, n_cols) array."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows is not an error here
+            data = np.loadtxt(source, dtype=dtype, comments="#", ndmin=2)
+    except (ValueError, OverflowError) as exc:
+        raise ArtifactError(f"{path}: expected `{layout}` rows: {exc}") from None
+    if data.size == 0:
+        return data.reshape(0, n_cols)
+    if data.shape[1] != n_cols:
+        raise ArtifactError(f"{path}: expected `{layout}` rows, found {data.shape[1]} columns")
+    return data
+
+
 def _data_lines(path: str | Path) -> Iterable[tuple[int, str]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -100,36 +116,38 @@ def write_classes(table: ClassTable, path: str | Path, header: Sequence[str] = (
     with open(path, "w", encoding="utf-8") as fh:
         _write_header(fh, header)
         fh.write(f"{table.n_collectors} {table.n_periods} {table.n_nodes} {table.total_pairs}\n")
-        for row, mult in zip(table.vectors, table.multiplicity):
-            fh.write(" ".join(str(int(x)) for x in row) + f" {int(mult)}\n")
+        fh.write(
+            "".join(
+                " ".join(map(str, row)) + f" {mult}\n"
+                for row, mult in zip(table.vectors.tolist(), table.multiplicity.tolist())
+            )
+        )
 
 
 def read_classes(path: str | Path) -> ClassTable:
-    rows = []
-    mults = []
-    meta = None
-    for lineno, line in _data_lines(path):
-        fields = line.split()
+    with open(path, encoding="utf-8") as fh:
+        meta = None
+        for line in iter(fh.readline, ""):
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                meta = fields
+                break
         if meta is None:
-            if len(fields) != 4:
-                raise ArtifactError(f"{path}:{lineno}: expected `M T N total_pairs` header row")
-            meta = tuple(int(x) for x in fields)
-            continue
-        values = [int(x) for x in fields]
-        if len(values) != 2 * meta[0] + 1:
-            raise ArtifactError(f"{path}:{lineno}: expected {2 * meta[0] + 1} integers")
-        rows.append(values[:-1])
-        mults.append(values[-1])
-    if meta is None:
-        raise ArtifactError(f"{path}: empty class table")
-    m, t, n, total_pairs = meta
-    vectors = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * m)
+            raise ArtifactError(f"{path}: empty class table")
+        if len(meta) != 4:
+            raise ArtifactError(f"{path}: expected `M T N total_pairs` header row")
+        try:
+            m, t, n, total_pairs = (int(x) for x in meta)
+        except ValueError as exc:
+            raise ArtifactError(f"{path}: bad `M T N total_pairs` header row: {exc}") from None
+        rows = _load_matrix(fh, path, np.int64, 2 * m + 1, "E1 F1 ... EM FM multiplicity")
+    vectors = np.ascontiguousarray(rows[:, :-1])
     zero_rows = np.flatnonzero(~vectors.any(axis=1))
     if zero_rows.size != 1:
         raise CountingError(f"{path}: class table must contain exactly one all-zero class")
     table = ClassTable(
         vectors=vectors,
-        multiplicity=np.array(mults, dtype=np.int64),
+        multiplicity=rows[:, -1].copy(),
         n_collectors=m,
         n_periods=t,
         n_nodes=n,
@@ -143,36 +161,47 @@ def read_classes(path: str | Path) -> ClassTable:
 def write_pairs(
     store: PairStore, registry: AsRegistry, path: str | Path, header: Sequence[str] = ()
 ) -> None:
-    """One `as_i as_j class_index` line per observed pair."""
+    """One `as_i as_j class_index` line per observed pair, as_i < as_j."""
     if store.class_index is None:
         raise ArtifactError("pair store has no class assignment; compact it first")
+    as_numbers = np.asarray(registry.id_to_as_number, dtype=np.int64)
     i, j = store.pairs_ij()
+    as_i, as_j = as_numbers[i], as_numbers[j]
+    lo, hi = np.minimum(as_i, as_j), np.maximum(as_i, as_j)
     with open(path, "w", encoding="utf-8") as fh:
         _write_header(fh, header)
-        for a, b, cls in zip(i, j, store.class_index):
-            as_a, as_b = registry.as_of(int(a)), registry.as_of(int(b))
-            if as_a > as_b:
-                as_a, as_b = as_b, as_a
-            fh.write(f"{as_a} {as_b} {int(cls)}\n")
+        fh.write(
+            "".join(
+                f"{a} {b} {c}\n"
+                for a, b, c in zip(lo.tolist(), hi.tolist(), store.class_index.tolist())
+            )
+        )
 
 
 def read_pairs(path: str | Path, registry: AsRegistry, table: ClassTable) -> PairStore:
+    rows = _load_matrix(path, path, np.int64, 3, "as_i as_j class_index")
     n = registry.n_nodes
-    ids = []
-    classes = []
-    for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) != 3:
-            raise ArtifactError(f"{path}:{lineno}: expected `as_i as_j class_index`")
-        a, b, cls = int(fields[0]), int(fields[1]), int(fields[2])
-        i, j = registry.id_of(a), registry.id_of(b)
-        if i > j:
-            i, j = j, i
-        ids.append(i * n + j)
-        classes.append(cls)
-    order = np.argsort(np.array(ids, dtype=np.int64))
-    pair_ids = np.array(ids, dtype=np.int64)[order]
-    class_index = np.array(classes, dtype=np.int64)[order]
+    as_numbers = np.asarray(registry.id_to_as_number, dtype=np.int64)
+    by_as = np.argsort(as_numbers)
+    sorted_as = as_numbers[by_as]
+    ends = rows[:, :2]
+    pos = np.searchsorted(sorted_as, ends)
+    known = pos < n
+    known[known] = sorted_as[pos[known]] == ends[known]
+    if not known.all():
+        raise ArtifactError(f"{path}: AS {int(ends[~known][0])} is not in the registry")
+    ids = by_as[pos]
+    class_index = rows[:, 2]
+    if class_index.size and (class_index.min() < 0 or class_index.max() >= table.n_classes):
+        raise ArtifactError(f"{path}: class index outside 0..{table.n_classes - 1}")
+    if np.any(ids[:, 0] == ids[:, 1]):
+        raise ArtifactError(f"{path}: a pair joins an AS to itself")
+    pair_ids = ids.min(axis=1) * n + ids.max(axis=1)
+    order = np.argsort(pair_ids)
+    pair_ids = pair_ids[order]
+    class_index = class_index[order]
+    if np.any(pair_ids[1:] == pair_ids[:-1]):
+        raise ArtifactError(f"{path}: a pair is listed twice")
     return PairStore(
         n_nodes=n,
         n_collectors=table.n_collectors,
@@ -241,12 +270,13 @@ def write_class_posteriors(q: np.ndarray, path: str | Path, header: Sequence[str
 
 
 def read_class_posteriors(path: str | Path) -> np.ndarray:
-    pairs = [(int(f[0]), float(f[1])) for _, line in _data_lines(path) if (f := line.split())]
-    out = np.empty(len(pairs))
-    for idx, value in pairs:
-        if idx < 0 or idx >= len(pairs):
-            raise ArtifactError(f"{path}: class index {idx} out of range")
-        out[idx] = value
+    """Posteriors by class index; the indices must be exactly 0..n-1, each once."""
+    rows = _load_matrix(path, path, np.float64, 2, "class_index Q")
+    idx = rows[:, 0]
+    if not np.array_equal(np.sort(idx), np.arange(idx.size)):
+        raise ArtifactError(f"{path}: class indices are not 0..{idx.size - 1}, each once")
+    out = np.empty(idx.size)
+    out[idx.astype(np.int64)] = rows[:, 1]
     return out
 
 

@@ -82,17 +82,27 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
+def _load_classes(out: Path):
+    return artifacts.read_classes(_require(out / "classes.txt", "count"))
+
+
 def _load_counting(out: Path):
     registry = artifacts.read_registry(_require(out / "registry.txt", "count"))
-    table = artifacts.read_classes(_require(out / "classes.txt", "count"))
+    table = _load_classes(out)
     store = artifacts.read_pairs(_require(out / "pairs.txt", "count"), registry, table)
     return registry, table, store
 
 
-def _load_model(out: Path):
-    return artifacts.load_model(
+def _load_model(out: Path, table):
+    model = artifacts.load_model(
         _require(out / "model.txt", "fit"), _require(out / "class_q.txt", "fit")
     )
+    if model.class_posteriors.size != table.n_classes:
+        raise StageError(
+            f"{out / 'class_q.txt'} has {model.class_posteriors.size} posteriors for "
+            f"{table.n_classes} classes; rerun `asrecon fit`"
+        )
+    return model
 
 
 def _make_header(artifact: str, config: dict, inputs: dict[str, Path]) -> list[str]:
@@ -168,7 +178,7 @@ def cmd_count(args, config) -> int:
 
 def cmd_fit(args, config) -> int:
     out = Path(args.out)
-    _, table, _ = _load_counting(out)
+    table = _load_classes(out)
     tol = _opt(args, config, "tol", float, DEFAULT_TOL)
     max_iters = _opt(args, config, "max_iters", int, DEFAULT_MAX_ITERS)
     model = em_fit(table, tol=tol, max_iters=max_iters)
@@ -188,7 +198,7 @@ def cmd_fit(args, config) -> int:
 def cmd_entropy(args, config) -> int:
     out = Path(args.out)
     registry, table, store = _load_counting(out)
-    model = _load_model(out)
+    model = _load_model(out, table)
     min_group_size = _opt(args, config, "min_group_size", int, 50)
     groups_path = _opt(args, config, "groups", str, None)
 
@@ -219,7 +229,7 @@ def cmd_entropy(args, config) -> int:
 def cmd_ppc(args, config) -> int:
     out = Path(args.out)
     _, table, store = _load_counting(out)
-    model = _load_model(out)
+    model = _load_model(out, table)
     seed = _opt(args, config, "seed", int, 0)
     replicates = _opt(args, config, "replicates", int, 1)
     result = posterior_predictive_check(model, store, seed=seed, replicates=replicates)
@@ -243,8 +253,8 @@ def cmd_ppc(args, config) -> int:
 
 def cmd_report(args, config) -> int:
     out = Path(args.out)
-    _, table, _ = _load_counting(out)
-    model = _load_model(out)
+    table = _load_classes(out)
+    model = _load_model(out, table)
     report = posterior_report(model, table)
 
     header = _make_header("report", {}, {"model.txt": out / "model.txt"})
@@ -265,7 +275,7 @@ def cmd_report(args, config) -> int:
 def cmd_eval(args, config) -> int:
     out = Path(args.out)
     registry, table, store = _load_counting(out)
-    model = _load_model(out)
+    model = _load_model(out, table)
 
     scores = []
     inputs = {"model.txt": out / "model.txt"}
@@ -290,8 +300,8 @@ def cmd_eval(args, config) -> int:
 
 def cmd_threshold(args, config) -> int:
     out = Path(args.out)
-    registry, _, store = _load_counting(out)
-    model = _load_model(out)
+    registry, table, store = _load_counting(out)
+    model = _load_model(out, table)
     taus_text = _opt(args, config, "taus", str, "0.1,0.5,0.9")
     taus = [float(t) for t in taus_text.split(",") if t.strip()]
     header = _make_header("edges", {"taus": taus_text}, {"model.txt": out / "model.txt"})
@@ -310,7 +320,7 @@ def cmd_threshold(args, config) -> int:
 
 def cmd_ablate(args, config) -> int:
     out = Path(args.out)
-    _, table, _ = _load_counting(out)
+    table = _load_classes(out)
     seed = _opt(args, config, "seed", int, 0)
     n_orderings = _opt(args, config, "orderings", int, 10)
     workers = _opt(args, config, "workers", int, 1)

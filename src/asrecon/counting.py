@@ -120,10 +120,52 @@ class ClassTable:
                 f"class multiplicities sum to {int(self.multiplicity.sum())}, "
                 f"expected {self.total_pairs}"
             )
-        if np.unique(self.vectors, axis=0).shape[0] != self.n_classes:
+        # A pair is seen or missed at most once per (collector, period), so
+        # 0 <= E, F and E + F <= T; unique_rows relies on the lower bound.
+        if self.vectors.size and self.vectors.min() < 0:
+            raise CountingError("negative observation count")
+        if np.any(self.pos_counts + self.neg_counts > self.n_periods):
+            raise CountingError(f"a class has E+F > T={self.n_periods} for some collector")
+        if unique_rows(self.vectors)[0].shape[0] != self.n_classes:
             raise CountingError("duplicate observation classes")
         if np.any(self.vectors[self.zero_class_index]):
             raise CountingError("zero-class row is not all-zero")
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a non-negative integer matrix, with inverse and counts.
+
+    Returns what ``np.unique(rows, axis=0, return_inverse=True,
+    return_counts=True)`` returns: the rows in lexicographic order, the index
+    of each input row's distinct row, and how often each occurs. Each row is
+    radix-packed in base ``max + 1`` into as few int64 words as hold it, so
+    one lexsort over the words replaces a sort over row views.
+    """
+    rows = np.asarray(rows)
+    n, width = rows.shape
+    if n == 0:
+        return rows[:0], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if rows.min() < 0:
+        raise CountingError("unique_rows needs non-negative entries")
+    base = max(int(rows.max()) + 1, 2)
+    digits = 1  # columns per word: base**digits - 1 must fit in an int64
+    while base ** (digits + 1) <= 2**63:
+        digits += 1
+    words = []
+    for start in range(0, width, digits):
+        word = rows[:, start].astype(np.int64)
+        for c in range(start + 1, min(start + digits, width)):
+            word = word * base + rows[:, c]
+        words.append(word)
+    order = np.lexsort(words[::-1])  # lexsort's primary key is the last one
+    packed = np.stack(words)[:, order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(packed[:, 1:] != packed[:, :-1], axis=0)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, n))
+    return rows[order[starts]], inverse, counts
 
 
 def _snapshot_observation_ids(
@@ -252,20 +294,13 @@ def compact_classes(store: PairStore, total_pairs: int | None = None) -> ClassTa
         raise CountingError(f"{store.n_pairs} observed pairs exceed total {total_pairs}")
 
     width = 2 * store.n_collectors
-    if store.n_pairs:
-        uniq, inverse, counts = np.unique(
-            store.vectors, axis=0, return_inverse=True, return_counts=True
-        )
-    else:
-        uniq = np.empty((0, width), dtype=np.int64)
-        inverse = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.int64)
+    uniq, inverse, counts = unique_rows(store.vectors)
 
     vectors = np.vstack([np.zeros((1, width), dtype=np.int64), uniq.astype(np.int64)])
     multiplicity = np.concatenate(
         [np.array([total_pairs - store.n_pairs], dtype=np.int64), counts.astype(np.int64)]
     )
-    store.class_index = inverse.astype(np.int64) + 1
+    store.class_index = inverse + 1
 
     table = ClassTable(
         vectors=vectors,
@@ -297,11 +332,11 @@ def project_classes(table: ClassTable, collectors: Sequence[int]) -> ClassTable:
 
     cols = [c for k in collectors for c in (2 * k, 2 * k + 1)]
     projected = np.ascontiguousarray(table.vectors[:, cols])
-    uniq, inverse = np.unique(projected, axis=0, return_inverse=True)
+    uniq, inverse, _ = unique_rows(projected)
     multiplicity = np.zeros(uniq.shape[0], dtype=np.int64)
     np.add.at(multiplicity, inverse, table.multiplicity)
 
-    # np.unique sorts rows lexicographically; non-negative counts put the
+    # unique_rows sorts rows lexicographically; non-negative counts put the
     # all-zero row (always present via the original zero class) first.
     zero = int(np.flatnonzero(~uniq.any(axis=1))[0])
     if zero != 0:

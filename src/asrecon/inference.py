@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .counting import ClassTable
 
@@ -99,6 +98,12 @@ class FittedModel:
         return self.params.rho
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + exp(-x)); exp(-x) overflowing to inf gives exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _as_matrix(vectors: np.ndarray) -> tuple[np.ndarray, bool]:
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim == 1:
@@ -137,7 +142,7 @@ def posterior_edge_prob(vectors: np.ndarray, params: ModelParams) -> np.ndarray 
     """
     arr, single = _as_matrix(vectors)
     l_alpha, l_beta = class_log_likelihoods(arr, params)
-    q = expit(l_alpha - l_beta)
+    q = _expit(l_alpha - l_beta)
     q[~arr.any(axis=1)] = params.rho
     return float(q[0]) if single else q
 
@@ -212,7 +217,7 @@ def em_fit(
             )
         history.append(ld)
 
-        q = expit(l_alpha - l_beta)
+        q = _expit(l_alpha - l_beta)
         if has_zero_class:
             q[table.zero_class_index] = params.rho  # exact: no data returns the prior
 
@@ -254,7 +259,7 @@ def em_fit(
         # keep the sparse branch, which is the physical one.
         params = params.swapped()
         l_alpha, l_beta = class_log_likelihoods(table.vectors, params)
-        q = expit(l_alpha - l_beta)
+        q = _expit(l_alpha - l_beta)
         if has_zero_class:
             q[table.zero_class_index] = params.rho
         relabeled = True

@@ -7,6 +7,7 @@ import pytest
 
 from asrecon import em_fit
 from asrecon.artifacts import (
+    ArtifactError,
     header_lines,
     read_classes,
     read_labels,
@@ -24,6 +25,7 @@ from asrecon.artifacts import (
     write_registry,
 )
 from asrecon.analytics import Histogram
+from asrecon.counting import CountingError
 
 
 def test_registry_round_trip(tmp_path, micro_corpus):
@@ -99,3 +101,53 @@ def test_headers_have_no_timestamps(tmp_path, micro_counted):
     assert any(line.startswith("# input in sha256:") for line in head)
     write_classes(table, tmp_path / "again.txt", header_lines("classes", config={"a": 1}, inputs={"in": "ab" * 32}))
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_class_posteriors_need_each_index_once(tmp_path):
+    path = tmp_path / "class_q.txt"
+    path.write_text("0 0.5\n0 0.25\n2 0.75\n")
+    with pytest.raises(ArtifactError, match="each once"):
+        read_class_posteriors(path)
+    path.write_text("1 0.25\n0 0.5\n")
+    assert np.array_equal(read_class_posteriors(path), [0.5, 0.25])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0 -1 0 0 1",  # negative count
+        "2 1 0 0 1",  # E + F = 3 > T = 2
+    ],
+)
+def test_classes_reject_impossible_counts(tmp_path, row):
+    path = tmp_path / "classes.txt"
+    path.write_text(f"# header\n2 2 8 28\n0 0 0 0 27\n{row}\n")
+    with pytest.raises(CountingError):
+        read_classes(path)
+
+
+def test_classes_reject_wrong_width(tmp_path):
+    path = tmp_path / "classes.txt"
+    path.write_text("2 2 8 28\n0 0 0 0 27\n1 0 0 1\n")
+    with pytest.raises(ArtifactError, match="classes.txt"):
+        read_classes(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 999 1", "AS 999 is not in the registry"),
+        ("1 2", "columns"),
+        ("1 2 99", "class index"),
+        ("3 3 1", "itself"),
+        ("2 1 1", "listed twice"),
+    ],
+)
+def test_pairs_reject_bad_rows(tmp_path, micro_counted, line, message):
+    corpus, store, table = micro_counted
+    path = tmp_path / "pairs.txt"
+    write_pairs(store, corpus.registry, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ArtifactError, match=message):
+        read_pairs(path, corpus.registry, table)

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import asrecon
 from asrecon.cli import main
 
 
@@ -176,3 +183,52 @@ def test_dump_snapshots(tmp_path):
     ) == 0
     dumps = sorted((tmp_path / "snapshots").glob("snapshot_k*_t*.txt"))
     assert len(dumps) == 4
+
+
+@pytest.fixture
+def run_copy(pipeline_dir, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    return out
+
+
+def test_import_loads_no_scipy():
+    src = Path(asrecon.__file__).resolve().parent.parent
+    code = (
+        "import sys, asrecon.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_class_only_stages_skip_pairs_and_registry(run_copy):
+    (run_copy / "pairs.txt").unlink()
+    (run_copy / "registry.txt").unlink()
+    assert run("fit", "--out", str(run_copy)) == 0
+    assert run("report", "--out", str(run_copy)) == 0
+    assert run("ablate", "--out", str(run_copy), "--orderings", "1") == 0
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("4000000000 4000000001 1", "not in the registry"), ("1 2", "columns")],
+)
+def test_malformed_pairs_exit_2(run_copy, capsys, line, message):
+    with open(run_copy / "pairs.txt", "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    assert run("entropy", "--out", str(run_copy)) == 2
+    err = capsys.readouterr().err
+    assert "pairs.txt" in err and message in err
+
+
+def test_stale_class_posteriors_exit_2(run_copy, capsys):
+    q_path = run_copy / "class_q.txt"
+    lines = q_path.read_text().splitlines(keepends=True)
+    q_path.write_text("".join(lines[:-1]))  # one class short, indices still 0..n-2
+    assert run("report", "--out", str(run_copy)) == 2
+    assert "class_q.txt" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from asrecon import (
@@ -15,6 +16,7 @@ from asrecon import (
     parse_paths_file,
     project_classes,
     total_pair_count,
+    unique_rows,
 )
 from asrecon.snapshots import build_all_snapshots
 from tests.conftest import MICRO_EXPECTED, MICRO_UNOBSERVED, store_vector
@@ -197,3 +199,44 @@ def test_compaction_conserves_pairs(n_nodes, seed):
     table = compact_classes(store)
     assert int(table.multiplicity.sum()) == total
     assert np.unique(table.vectors, axis=0).shape[0] == table.n_classes
+
+
+def _assert_matches_np_unique(rows: np.ndarray) -> None:
+    uniq, inverse, counts = unique_rows(rows)
+    ref_uniq, ref_inverse, ref_counts = np.unique(
+        rows, axis=0, return_inverse=True, return_counts=True
+    )
+    assert np.array_equal(uniq, ref_uniq)
+    assert uniq.shape == ref_uniq.shape
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))
+    assert np.array_equal(counts, ref_counts)
+
+
+def test_unique_rows_edge_cases():
+    _assert_matches_np_unique(np.empty((0, 4), dtype=np.int64))
+    _assert_matches_np_unique(np.array([[3, 0, 2]], dtype=np.int64))
+    _assert_matches_np_unique(np.zeros((5, 3), dtype=np.int64))
+    with pytest.raises(CountingError):
+        unique_rows(np.array([[0, -1]], dtype=np.int64))
+
+
+def test_unique_rows_two_words():
+    # 16 collectors x 8 periods: 32 base-9 digits, and 9**32 > 2**63, so the
+    # rows span two packed words. Rows that agree on the first word must
+    # still be told apart, and sorted, by the second.
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 9, size=(400, 32)).astype(np.int64)
+    rows[200:] = rows[:200]
+    rows[100:200, :24] = rows[0, :24]
+    _assert_matches_np_unique(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unique_rows_matches_np_unique(data):
+    # The largest entry sets the packing base, and so how many columns share
+    # a word: from 63 columns per word (base 2) down to one (base 2**62 + 1).
+    high = data.draw(st.sampled_from([1, 3, 8, 2**20, 2**62]))
+    shape = data.draw(st.tuples(st.integers(1, 30), st.integers(1, 12)))
+    rows = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, high)))
+    _assert_matches_np_unique(rows)
