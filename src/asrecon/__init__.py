@@ -19,7 +19,7 @@ from .ingest import (
     parse_paths_file,
     write_paths_file,
 )
-from .snapshots import LevelArray, SnapshotGraph, bfs_levels, build_all_snapshots, build_snapshot
+from .snapshots import SnapshotGraph, bfs_levels, build_all_snapshots, build_snapshot
 from .counting import (
     ClassTable,
     CountingError,
@@ -81,7 +81,6 @@ __all__ = [
     "GroupMap",
     "Histogram",
     "InferenceError",
-    "LevelArray",
     "Manifest",
     "ModelParams",
     "PairStore",

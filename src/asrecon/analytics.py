@@ -12,7 +12,6 @@ Logs are natural throughout; entropies are in nats.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -88,7 +87,7 @@ def normalized_entropy(model: FittedModel, table: ClassTable) -> float:
     return total / (float(table.total_pairs) * prior_h)
 
 
-def _pair_posteriors(model: FittedModel, store: PairStore) -> np.ndarray:
+def _store_posteriors(model: FittedModel, store: PairStore) -> np.ndarray:
     if store.class_index is not None:
         return model.class_posteriors[store.class_index]
     return posterior_edge_prob(store.vectors, model.params)
@@ -106,7 +105,7 @@ def node_entropy(model: FittedModel, store: PairStore) -> np.ndarray:
     if store.n_pairs == 0:
         return out
     i, j = store.pairs_ij()
-    h = edge_entropy(_pair_posteriors(model, store))
+    h = edge_entropy(_store_posteriors(model, store))
     np.add.at(out, i, h - h_prior)
     np.add.at(out, j, h - h_prior)
     return out
@@ -197,7 +196,7 @@ def posterior_predictive_check(
     pos = store.vectors[:, 0::2]
     opportunities = pos + store.vectors[:, 1::2]
     observed_totals = pos.sum(axis=1)
-    q = _pair_posteriors(model, store)
+    q = _store_posteriors(model, store)
 
     lo = -(PPC_BINS // 2) * PPC_BIN_WIDTH
     edges = np.arange(lo, lo + (PPC_BINS + 1) * PPC_BIN_WIDTH, PPC_BIN_WIDTH)
@@ -233,7 +232,6 @@ def collector_ablation(
     orderings: Sequence[Sequence[int]] | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    workers: int = 1,
 ) -> AblationResult:
     """Refit on the first k collectors of shuffled orderings, for every k.
 
@@ -257,12 +255,7 @@ def collector_ablation(
             values[k - 1] = normalized_entropy(model, sub)
         return values
 
-    if workers > 1 and perms.shape[0] > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_curve, perms))
-    else:
-        rows = [_curve(p) for p in perms]
-    h_norm = np.stack(rows)
+    h_norm = np.stack([_curve(p) for p in perms])
     return AblationResult(
         orderings=perms,
         h_norm=h_norm,

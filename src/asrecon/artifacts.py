@@ -95,8 +95,14 @@ def write_registry(registry: AsRegistry, path: str | Path, header: Sequence[str]
 
 def read_registry(path: str | Path) -> AsRegistry:
     registry = AsRegistry()
-    for _, line in _data_lines(path):
-        registry.intern(int(line))
+    for lineno, line in _data_lines(path):
+        try:
+            asn = int(line)
+        except ValueError:
+            raise ArtifactError(f"{path}:{lineno}: expected an AS number, got {line!r}") from None
+        if asn in registry:
+            raise ArtifactError(f"{path}:{lineno}: AS {asn} is listed twice")
+        registry.intern(asn)
     return registry
 
 
@@ -231,7 +237,13 @@ def write_model(
         fh.write(f"{model.params.rho:.17g}\n")
 
 
-def read_model(path: str | Path, class_posteriors: np.ndarray | None = None) -> FittedModel:
+def read_model(
+    path: str | Path,
+    class_posteriors: np.ndarray | None = None,
+    table: ClassTable | None = None,
+) -> FittedModel:
+    """The fitted model; given `table`, it must have been fitted to that table's M, T
+    and total_pairs."""
     converged = True
     with open(path, encoding="utf-8") as fh:
         body = []
@@ -248,6 +260,14 @@ def read_model(path: str | Path, class_posteriors: np.ndarray | None = None) -> 
     if len(meta) != 5:
         raise ArtifactError(f"{path}: expected `M T total_pairs iterations log_density`")
     m = int(meta[0])
+    if table is not None:
+        fitted = (m, int(meta[1]), int(meta[2]))
+        counted = (table.n_collectors, table.n_periods, table.total_pairs)
+        if fitted != counted:
+            raise ArtifactError(
+                f"{path}: fitted to (M, T, total_pairs) = {fitted}, but the class table "
+                f"has {counted}; rerun `asrecon fit`"
+            )
     if len(body) != 2 + m:
         raise ArtifactError(f"{path}: expected {m} rate rows plus rho")
     rates = np.array([[float(x) for x in row.split()] for row in body[1 : 1 + m]])
@@ -280,8 +300,10 @@ def read_class_posteriors(path: str | Path) -> np.ndarray:
     return out
 
 
-def load_model(model_path: str | Path, posteriors_path: str | Path) -> FittedModel:
-    return read_model(model_path, class_posteriors=read_class_posteriors(posteriors_path))
+def load_model(
+    model_path: str | Path, posteriors_path: str | Path, table: ClassTable | None = None
+) -> FittedModel:
+    return read_model(model_path, read_class_posteriors(posteriors_path), table)
 
 
 # -- reports ------------------------------------------------------------------

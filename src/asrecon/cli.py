@@ -51,7 +51,22 @@ class StageError(RuntimeError):
     """Missing inputs or a stage run out of order."""
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The keys a config file may set: the stage options `_opt` reads.
+
+    Those are the options whose default is None; `--out`, `--paths` and `--rec`
+    are required, `--dump-snapshots` is a switch, and `--config` is the file itself.
+    """
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest
+        for stage in sub.choices.values()
+        for action in stage._actions
+        if action.default is None and not action.required and action.dest != "config"
+    }
+
+
+def _read_config(path: str | None, keys: set[str]) -> dict[str, str]:
     if path is None:
         return {}
     config: dict[str, str] = {}
@@ -63,7 +78,10 @@ def _read_config(path: str | None) -> dict[str, str]:
             if "=" not in stripped:
                 raise StageError(f"{path}:{lineno}: expected key=value")
             key, value = stripped.split("=", 1)
-            config[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in keys:
+                raise StageError(f"{path}:{lineno}: {key!r} names no stage option")
+            config[key] = value.strip()
     return config
 
 
@@ -89,13 +107,18 @@ def _load_classes(out: Path):
 def _load_counting(out: Path):
     registry = artifacts.read_registry(_require(out / "registry.txt", "count"))
     table = _load_classes(out)
+    if registry.n_nodes != table.n_nodes:
+        raise StageError(
+            f"{out / 'registry.txt'} lists {registry.n_nodes} ASes for the "
+            f"{table.n_nodes} nodes of {out / 'classes.txt'}; rerun `asrecon count`"
+        )
     store = artifacts.read_pairs(_require(out / "pairs.txt", "count"), registry, table)
     return registry, table, store
 
 
 def _load_model(out: Path, table):
     model = artifacts.load_model(
-        _require(out / "model.txt", "fit"), _require(out / "class_q.txt", "fit")
+        _require(out / "model.txt", "fit"), _require(out / "class_q.txt", "fit"), table
     )
     if model.class_posteriors.size != table.n_classes:
         raise StageError(
@@ -140,15 +163,13 @@ def cmd_simulate(args, config) -> int:
 def cmd_count(args, config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = _opt(args, config, "workers", int, 1)
     paths = [Path(p) for p in args.paths]
     for p in paths:
         if not p.exists():
             raise StageError(f"paths file not found: {p}")
-    corpus = load_corpus(paths, workers=workers)
-    store, table = count_corpus(corpus, workers=workers)
+    corpus = load_corpus(paths)
+    store, table = count_corpus(corpus)
 
-    # Worker count never changes the artifacts, so it stays out of the hash.
     effective = {"paths": [str(p) for p in paths]}
     inputs = {p.name: p for p in paths}
     header = _make_header("counting", effective, inputs)
@@ -163,7 +184,7 @@ def cmd_count(args, config) -> int:
     if args.dump_snapshots:
         snap_dir = out / "snapshots"
         snap_dir.mkdir(exist_ok=True)
-        for graph, _ in build_all_snapshots(corpus, workers=workers):
+        for graph, _ in build_all_snapshots(corpus):
             dump_snapshot_edges(
                 graph, snap_dir / f"snapshot_k{graph.collector_id}_t{graph.time_period}.txt"
             )
@@ -323,8 +344,7 @@ def cmd_ablate(args, config) -> int:
     table = _load_classes(out)
     seed = _opt(args, config, "seed", int, 0)
     n_orderings = _opt(args, config, "orderings", int, 10)
-    workers = _opt(args, config, "workers", int, 1)
-    result = collector_ablation(table, n_orderings=n_orderings, seed=seed, workers=workers)
+    result = collector_ablation(table, n_orderings=n_orderings, seed=seed)
 
     effective = {"seed": seed, "orderings": n_orderings}
     header = _make_header("ablation", effective, {"classes.txt": out / "classes.txt"})
@@ -371,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="paths files -> observation classes")
     common(p)
     p.add_argument("--paths", nargs="+", required=True)
-    p.add_argument("--workers", type=int)
     p.add_argument("--dump-snapshots", action="store_true")
     p.set_defaults(func=cmd_count)
 
@@ -411,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--orderings", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_ablate)
 
     return parser
@@ -421,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _read_config(args.config)
+        config = _read_config(args.config, _config_keys(parser))
         return args.func(args, config)
     except (StageError, OSError, ValueError, RuntimeError) as exc:
         print(f"asrecon {args.command}: {exc}", file=sys.stderr)

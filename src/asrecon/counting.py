@@ -17,14 +17,13 @@ classes weighted by multiplicity.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ingest import PathCorpus
-from .snapshots import LevelArray, SnapshotGraph, build_all_snapshots
+from .snapshots import SnapshotGraph, build_all_snapshots
 
 
 class CountingError(ValueError):
@@ -91,7 +90,6 @@ class ClassTable:
     n_nodes: int
     total_pairs: int
     zero_class_index: int = 0
-    _index: dict[bytes, int] | None = field(default=None, repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -106,13 +104,6 @@ class ClassTable:
     def neg_counts(self) -> np.ndarray:
         """F columns, shape (n_classes, n_collectors)."""
         return self.vectors[:, 1::2]
-
-    def index_of(self, vector: np.ndarray) -> int:
-        if self._index is None:
-            self._index = {
-                row.tobytes(): idx for idx, row in enumerate(np.ascontiguousarray(self.vectors))
-            }
-        return self._index[np.ascontiguousarray(vector, dtype=np.int64).tobytes()]
 
     def validate(self) -> None:
         if int(self.multiplicity.sum()) != self.total_pairs:
@@ -169,7 +160,7 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _snapshot_observation_ids(
-    graph: SnapshotGraph, levels: LevelArray, n_nodes: int
+    graph: SnapshotGraph, levels: np.ndarray, n_nodes: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Positive and negative pair ids contributed by one snapshot."""
     if graph.n_total != n_nodes:
@@ -185,9 +176,8 @@ def _snapshot_observation_ids(
     # is not evidence of absence. Within the snapshot, any cross-level pair
     # with gap >= 2 cannot be an edge (BFS levels of adjacent nodes differ by
     # at most 1), so the level buckets alone enumerate the negative pairs.
-    dist = levels.dist
-    present = np.flatnonzero(dist >= 0)
-    lv = dist[present]
+    present = np.flatnonzero(levels >= 0)
+    lv = levels[present]
     max_level = int(lv.max(initial=0))
     buckets = [present[lv == level] for level in range(max_level + 1)]
 
@@ -208,30 +198,20 @@ def _snapshot_observation_ids(
 
 
 def count_observations(
-    snapshots: Sequence[tuple[SnapshotGraph, LevelArray]],
+    snapshots: Sequence[tuple[SnapshotGraph, np.ndarray]],
     n_nodes: int,
     n_collectors: int,
     n_periods: int,
-    workers: int = 1,
 ) -> PairStore:
     """Aggregate per-snapshot observations into per-pair count vectors.
 
-    Snapshots are processed independently (concurrently when workers > 1) and
-    merged by pair id, so the result does not depend on processing order.
+    Snapshots are merged by pair id, so the result does not depend on their
+    order.
     """
-
-    def _one(item: tuple[SnapshotGraph, LevelArray]):
-        return _snapshot_observation_ids(item[0], item[1], n_nodes)
-
-    if workers > 1 and len(snapshots) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            contributions = list(pool.map(_one, snapshots))
-    else:
-        contributions = [_one(s) for s in snapshots]
-
     pos_by_k: list[list[np.ndarray]] = [[] for _ in range(n_collectors)]
     neg_by_k: list[list[np.ndarray]] = [[] for _ in range(n_collectors)]
-    for k, pos, neg in contributions:
+    for graph, levels in snapshots:
+        k, pos, neg = _snapshot_observation_ids(graph, levels, n_nodes)
         if k < 0 or k >= n_collectors:
             raise CountingError(f"collector id {k} outside 0..{n_collectors - 1}")
         pos_by_k[k].append(pos)
@@ -355,15 +335,13 @@ def project_classes(table: ClassTable, collectors: Sequence[int]) -> ClassTable:
     return out
 
 
-def count_corpus(corpus: PathCorpus, workers: int = 1) -> tuple[PairStore, ClassTable]:
+def count_corpus(corpus: PathCorpus) -> tuple[PairStore, ClassTable]:
     """Full counting stage: snapshots, observation vectors, class table."""
-    snapshots = build_all_snapshots(corpus, workers=workers)
     store = count_observations(
-        snapshots,
+        build_all_snapshots(corpus),
         n_nodes=corpus.registry.n_nodes,
         n_collectors=corpus.n_collectors,
         n_periods=corpus.n_periods,
-        workers=workers,
     )
     table = compact_classes(store)
     return store, table

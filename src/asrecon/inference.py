@@ -275,8 +275,3 @@ def em_fit(
         retained_beta=frozenset(retained_beta),
         relabeled=relabeled,
     )
-
-
-def pair_posteriors(model: FittedModel, class_index: np.ndarray) -> np.ndarray:
-    """Edge posteriors for stored pairs given their class indices."""
-    return model.class_posteriors[np.asarray(class_index, dtype=np.int64)]

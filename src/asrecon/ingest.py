@@ -14,7 +14,6 @@ afterwards are rejected and tallied as loops.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -77,10 +76,10 @@ class PathRecord:
 class PathCorpus:
     """All parsed records plus the registries they are indexed against."""
 
-    registry: AsRegistry
-    records: list[PathRecord]
-    collector_labels: list[str]
-    period_labels: list[str]
+    registry: AsRegistry = field(default_factory=AsRegistry)
+    records: list[PathRecord] = field(default_factory=list)
+    collector_labels: list[str] = field(default_factory=list)
+    period_labels: list[str] = field(default_factory=list)
     dropped_loops: int = 0
     n_path_lines: int = 0
 
@@ -91,20 +90,6 @@ class PathCorpus:
     @property
     def n_periods(self) -> int:
         return len(self.period_labels)
-
-
-# A pre-registry path: labels and raw AS numbers, validated and compressed.
-_RawPath = tuple[str, str, tuple[int, ...]]
-
-
-@dataclass
-class RawFile:
-    """Per-file parse result, before registry ids are assigned."""
-
-    source: str
-    paths: list[_RawPath]
-    dropped_loops: int
-    n_path_lines: int
 
 
 def _parse_as_field(field_text: str, source: str, lineno: int) -> tuple[int, ...]:
@@ -131,20 +116,28 @@ def _compress_padding(nodes: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parse_lines(lines: Iterable[str], source: str = "<stream>") -> RawFile:
-    """Parse one stream into raw paths; no registry ids are assigned yet.
+def _intern_label(label: str, ids: dict[str, int], labels: list[str]) -> int:
+    k = ids.get(label)
+    if k is None:
+        k = ids[label] = len(labels)
+        labels.append(label)
+    return k
 
-    Safe to run concurrently for several files; merge the results with
-    :func:`build_corpus` afterwards.
+
+def _parse_into(corpus: PathCorpus, lines: Iterable[str], source: str) -> None:
+    """Append one stream's paths to `corpus`, interning ids in first-seen order.
+
+    A path whose loop survives padding compression is dropped before
+    interning, so it registers none of its ASes or labels.
     """
-    paths: list[_RawPath] = []
-    dropped = 0
-    n_path_lines = 0
+    collector_ids = {label: k for k, label in enumerate(corpus.collector_labels)}
+    period_ids = {label: t for t, label in enumerate(corpus.period_labels)}
+    intern = corpus.registry.intern
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        n_path_lines += 1
+        corpus.n_path_lines += 1
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 3:
             raise ParseError(
@@ -158,74 +151,40 @@ def parse_lines(lines: Iterable[str], source: str = "<stream>") -> RawFile:
             raise ParseError("empty period label", source, lineno)
         nodes = _compress_padding(_parse_as_field(fields[2], source, lineno))
         if len(set(nodes)) != len(nodes):
-            dropped += 1  # loop survived padding compression
+            corpus.dropped_loops += 1
             continue
-        paths.append((collector, period, nodes))
-    return RawFile(source=source, paths=paths, dropped_loops=dropped, n_path_lines=n_path_lines)
-
-
-def build_corpus(raw_files: Sequence[RawFile]) -> PathCorpus:
-    """Merge per-file parses into one corpus; the single-owner step.
-
-    Collector, period, and AS ids are assigned in first-seen order across the
-    files in the order given, so the result is deterministic for a fixed file
-    order regardless of how the files were parsed.
-    """
-    if sum(f.n_path_lines for f in raw_files) == 0:
-        sources = ", ".join(f.source for f in raw_files) or "<none>"
-        raise ParseError(f"no path records in input ({sources})")
-    registry = AsRegistry()
-    collector_ids: dict[str, int] = {}
-    period_ids: dict[str, int] = {}
-    collector_labels: list[str] = []
-    period_labels: list[str] = []
-    records: list[PathRecord] = []
-    for raw in raw_files:
-        for collector, period, nodes in raw.paths:
-            k = collector_ids.get(collector)
-            if k is None:
-                k = len(collector_labels)
-                collector_ids[collector] = k
-                collector_labels.append(collector)
-            t = period_ids.get(period)
-            if t is None:
-                t = len(period_labels)
-                period_ids[period] = t
-                period_labels.append(period)
-            records.append(
-                PathRecord(collector_id=k, time_period=t, nodes=tuple(registry.intern(n) for n in nodes))
+        corpus.records.append(
+            PathRecord(
+                collector_id=_intern_label(collector, collector_ids, corpus.collector_labels),
+                time_period=_intern_label(period, period_ids, corpus.period_labels),
+                nodes=tuple(map(intern, nodes)),
             )
-    return PathCorpus(
-        registry=registry,
-        records=records,
-        collector_labels=collector_labels,
-        period_labels=period_labels,
-        dropped_loops=sum(f.dropped_loops for f in raw_files),
-        n_path_lines=sum(f.n_path_lines for f in raw_files),
-    )
+        )
+
+
+def _nonempty(corpus: PathCorpus, sources: Sequence[str]) -> PathCorpus:
+    if corpus.n_path_lines == 0:
+        raise ParseError(f"no path records in input ({', '.join(sources) or '<none>'})")
+    return corpus
 
 
 def parse_paths_file(stream: Iterable[str] | str, source: str = "<stream>") -> PathCorpus:
     """Parse a single canonical paths stream into a corpus."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    return build_corpus([parse_lines(stream, source)])
+    corpus = PathCorpus()
+    _parse_into(corpus, stream, source)
+    return _nonempty(corpus, [source])
 
 
-def load_corpus(paths: Sequence[str | Path], workers: int = 1) -> PathCorpus:
-    """Parse several paths files (concurrently if workers > 1) and merge them."""
-    paths = [Path(p) for p in paths]
-
-    def _parse_one(p: Path) -> RawFile:
-        with open(p, encoding="utf-8") as fh:
-            return parse_lines(fh, source=str(p))
-
-    if workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw_files = list(pool.map(_parse_one, paths))
-    else:
-        raw_files = [_parse_one(p) for p in paths]
-    return build_corpus(raw_files)
+def load_corpus(paths: Sequence[str | Path]) -> PathCorpus:
+    """Parse several paths files, in the order given, into one corpus."""
+    sources = [str(Path(p)) for p in paths]
+    corpus = PathCorpus()
+    for source in sources:
+        with open(source, encoding="utf-8") as fh:
+            _parse_into(corpus, fh, source)
+    return _nonempty(corpus, sources)
 
 
 def format_record(corpus: PathCorpus, record: PathRecord) -> str:

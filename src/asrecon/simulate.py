@@ -15,7 +15,6 @@ checkable without re-deriving anything.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .counting import PairStore, ClassTable, count_corpus
 from .ingest import PathCorpus, parse_paths_file
+from .snapshots import ABSENT, hop_levels
 
 GRAPH_MODELS = ("uniform", "preferential")
 
@@ -129,33 +129,6 @@ def _sample_preferential(n: int, m: int, rng: np.random.Generator) -> list[set[i
     return adj
 
 
-def _is_connected(adj: list[set[int]]) -> bool:
-    n = len(adj)
-    seen = {0}
-    frontier = deque([0])
-    while frontier:
-        u = frontier.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == n
-
-
-def _bfs_levels_and_order(adj: list[np.ndarray], root: int) -> np.ndarray:
-    n = len(adj)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[root] = 0
-    frontier = deque([root])
-    while frontier:
-        u = frontier.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
-    return dist
-
-
 def generate(config: SimConfig) -> Simulation:
     """Build the ground truth and emit noisy per-collector path observations."""
     rng = np.random.default_rng(config.seed)
@@ -167,7 +140,7 @@ def generate(config: SimConfig) -> Simulation:
             adj_sets = _sample_uniform(n, config.density, rng)
         else:
             adj_sets = _sample_preferential(n, config.edges_per_node, rng)
-        if _is_connected(adj_sets):
+        if np.all(hop_levels(adj_sets, 0, n) != ABSENT):
             break
         regenerations += 1
         if regenerations >= config.retry_limit:
@@ -183,7 +156,7 @@ def generate(config: SimConfig) -> Simulation:
     as_numbers = rng.choice(np.arange(1, 10 * n + 1), size=n, replace=False)
     roots = np.sort(rng.choice(n, size=config.n_collectors, replace=False))
 
-    levels = [_bfs_levels_and_order(adj, int(r)) for r in roots]
+    levels = [hop_levels(adj, int(r), n) for r in roots]
     # Tie-break preference per (collector, node), aligned with adj[v].
     prefs = [[rng.random(adj[v].size) for v in range(n)] for _ in range(config.n_collectors)]
 

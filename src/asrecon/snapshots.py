@@ -8,11 +8,10 @@ Hop distances from that root drive the negative-observation rule in
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,23 +40,29 @@ class SnapshotGraph:
     n_total: int
     n_pruned: int = 0
 
-    @property
-    def nodes(self) -> Iterable[int]:
-        return self.adjacency.keys()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        nbrs = self.adjacency.get(i)
-        return nbrs is not None and j in nbrs
+def hop_levels(
+    adjacency: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], root: int, n_nodes: int
+) -> np.ndarray:
+    """Exact unweighted hop counts from `root`; ABSENT where it is unreachable.
 
-
-@dataclass
-class LevelArray:
-    """Hop counts from the snapshot root, indexed by node id; ABSENT if pruned."""
-
-    dist: np.ndarray
-
-    def __getitem__(self, node: int) -> int:
-        return int(self.dist[node])
+    `adjacency[u]` lists the neighbors of node u, for every node reachable
+    from the root.
+    """
+    dist = [ABSENT] * n_nodes
+    dist[root] = 0
+    frontier = [root]
+    level = 0
+    while frontier:
+        level += 1
+        grown = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if dist[v] == ABSENT:
+                    dist[v] = level
+                    grown.append(v)
+        frontier = grown
+    return np.array(dist, dtype=np.int64)
 
 
 def _pick_root(records: Sequence[PathRecord]) -> int:
@@ -73,12 +78,7 @@ def _pick_root(records: Sequence[PathRecord]) -> int:
     raise AssertionError("unreachable")
 
 
-def build_snapshot(records: Sequence[PathRecord], n_total: int) -> SnapshotGraph:
-    """Union the edges of one (collector, period) record group.
-
-    All records must share collector and period. Consecutive path hops become
-    undirected edges; nodes unreachable from the root are pruned and counted.
-    """
+def _build(records: Sequence[PathRecord], n_total: int) -> tuple[SnapshotGraph, np.ndarray]:
     if not records:
         raise SnapshotError("cannot build a snapshot from an empty record set")
     collector_id = records[0].collector_id
@@ -101,52 +101,43 @@ def build_snapshot(records: Sequence[PathRecord], n_total: int) -> SnapshotGraph
             neighbors.setdefault(b, set()).add(a)
 
     root = _pick_root(records)
-
-    # Prune to the root's connected component.
-    reachable = {root}
-    frontier = deque([root])
-    while frontier:
-        u = frontier.popleft()
-        for v in neighbors[u]:
-            if v not in reachable:
-                reachable.add(v)
-                frontier.append(v)
-    n_pruned = len(neighbors) - len(reachable)
-
+    # The walk from the root both prunes to its connected component and
+    # levels it; every neighbor of a reachable node is reachable.
+    levels = hop_levels(neighbors, root, n_total)
     adjacency = {
-        u: np.fromiter(sorted(v for v in nbrs if v in reachable), dtype=np.int64)
+        u: np.fromiter(sorted(nbrs), dtype=np.int64)
         for u, nbrs in neighbors.items()
-        if u in reachable
+        if levels[u] != ABSENT
     }
     edge_rows = [(u, v) for u, nbrs in adjacency.items() for v in nbrs if u < v]
     edge_rows.sort()
     edges = (
         np.array(edge_rows, dtype=np.int64) if edge_rows else np.empty((0, 2), dtype=np.int64)
     )
-    return SnapshotGraph(
+    graph = SnapshotGraph(
         collector_id=collector_id,
         time_period=time_period,
         root=root,
         adjacency=adjacency,
         edges=edges,
         n_total=n_total,
-        n_pruned=n_pruned,
+        n_pruned=len(neighbors) - len(adjacency),
     )
+    return graph, levels
 
 
-def bfs_levels(graph: SnapshotGraph) -> LevelArray:
-    """Exact unweighted hop counts from the snapshot root."""
-    dist = np.full(graph.n_total, ABSENT, dtype=np.int64)
-    dist[graph.root] = 0
-    frontier = deque([graph.root])
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        for v in graph.adjacency[u]:
-            if dist[v] == ABSENT:
-                dist[v] = du + 1
-                frontier.append(v)
-    return LevelArray(dist=dist)
+def build_snapshot(records: Sequence[PathRecord], n_total: int) -> SnapshotGraph:
+    """Union the edges of one (collector, period) record group.
+
+    All records must share collector and period. Consecutive path hops become
+    undirected edges; nodes unreachable from the root are pruned and counted.
+    """
+    return _build(records, n_total)[0]
+
+
+def bfs_levels(graph: SnapshotGraph) -> np.ndarray:
+    """Exact unweighted hop counts from the snapshot root; ABSENT if pruned."""
+    return hop_levels(graph.adjacency, graph.root, graph.n_total)
 
 
 def group_records(corpus: PathCorpus) -> dict[tuple[int, int], list[PathRecord]]:
@@ -157,26 +148,10 @@ def group_records(corpus: PathCorpus) -> dict[tuple[int, int], list[PathRecord]]
     return groups
 
 
-def build_all_snapshots(
-    corpus: PathCorpus, workers: int = 1
-) -> list[tuple[SnapshotGraph, LevelArray]]:
-    """Build and level every (collector, period) snapshot in the corpus.
-
-    Snapshots are independent, so they are built concurrently when
-    workers > 1; result order is fixed by (collector, period).
-    """
-    groups = sorted(group_records(corpus).items())
+def build_all_snapshots(corpus: PathCorpus) -> list[tuple[SnapshotGraph, np.ndarray]]:
+    """Build and level every (collector, period) snapshot, ordered by (collector, period)."""
     n_total = corpus.registry.n_nodes
-
-    def _one(item: tuple[tuple[int, int], list[PathRecord]]):
-        _, records = item
-        graph = build_snapshot(records, n_total)
-        return graph, bfs_levels(graph)
-
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_one, groups))
-    return [_one(g) for g in groups]
+    return [_build(records, n_total) for _, records in sorted(group_records(corpus).items())]
 
 
 def dump_snapshot_edges(graph: SnapshotGraph, path: str | Path) -> None:

@@ -351,14 +351,14 @@ def test_criterion_9_determinism(tmp_path):
              "--periods", "2", "--graph-model", "preferential", "--edges-per-node", "2",
              "--p-miss", "0.1", "--p-false-edge", "0.02", "--p-reroute", "0.2",
              "--seed", "77"],
-            ["count", "--out", str(out), "--paths", str(out / "paths.txt"), "--workers", "2"],
+            ["count", "--out", str(out), "--paths", str(out / "paths.txt")],
             ["fit", "--out", str(out)],
             ["entropy", "--out", str(out)],
             ["ppc", "--out", str(out), "--seed", "5"],
             ["report", "--out", str(out)],
             ["threshold", "--out", str(out)],
             ["eval", "--out", str(out), "--rec", f"naive={out / 'edges_naive.txt'}"],
-            ["ablate", "--out", str(out), "--orderings", "4", "--seed", "3", "--workers", "2"],
+            ["ablate", "--out", str(out), "--orderings", "4", "--seed", "3"],
         ]
         for argv in stages:
             assert main(argv) == 0, argv

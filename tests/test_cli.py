@@ -206,6 +206,11 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_public_names_resolve():
+    missing = [name for name in asrecon.__all__ if not hasattr(asrecon, name)]
+    assert not missing
+
+
 def test_class_only_stages_skip_pairs_and_registry(run_copy):
     (run_copy / "pairs.txt").unlink()
     (run_copy / "registry.txt").unlink()
@@ -232,3 +237,61 @@ def test_stale_class_posteriors_exit_2(run_copy, capsys):
     q_path.write_text("".join(lines[:-1]))  # one class short, indices still 0..n-2
     assert run("report", "--out", str(run_copy)) == 2
     assert "class_q.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, column", [("ppc", 0), ("report", 1), ("entropy", 2)])
+def test_model_from_another_table_exit_2(run_copy, capsys, stage, column):
+    # Column 0 is M, 1 is T, 2 is total_pairs of the `M T total_pairs ...` row.
+    model_path = run_copy / "model.txt"
+    lines = model_path.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    meta = lines[row].split()
+    if column == 0:  # a one-collector model: M=1 and a single rate row
+        meta[0] = "1"
+        lines = lines[: row + 2] + lines[-1:]
+    else:
+        meta[column] = str(int(meta[column]) + 1)
+    lines[row] = " ".join(meta) + "\n"
+    model_path.write_text("".join(lines))
+    assert run(stage, "--out", str(run_copy)) == 2
+    assert "model.txt" in capsys.readouterr().err
+
+
+def test_registry_with_extra_ases_exit_2(run_copy, capsys):
+    with open(run_copy / "registry.txt", "a", encoding="utf-8") as fh:
+        fh.write("4000000000\n4000000001\n")
+    assert run("entropy", "--out", str(run_copy)) == 2
+    assert "registry.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, message", [(None, "listed twice"), ("AS7018", "AS number")])
+def test_malformed_registry_exit_2(run_copy, capsys, bad, message):
+    path = run_copy / "registry.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    lines.append(lines[-1] if bad is None else bad + "\n")
+    path.write_text("".join(lines))
+    assert run("threshold", "--out", str(run_copy)) == 2
+    err = capsys.readouterr().err
+    assert f"registry.txt:{len(lines)}:" in err and message in err
+
+
+@pytest.mark.parametrize("line", ["tau=0.3", "workers=2"])
+def test_unknown_config_key_exit_2(run_copy, capsys, line):
+    config = run_copy / "run.conf"
+    config.write_text(f"seed=3\n{line}\n")
+    argv = ["--out", str(run_copy), "--config", str(config)]
+    assert run("threshold", *argv) == 2
+    assert f"run.conf:2: '{line.split('=')[0]}'" in capsys.readouterr().err
+    # A key that names another stage's option is accepted.
+    config.write_text("taus=0.5\nseed=3\n")
+    assert run("ppc", *argv) == 0
+
+
+@pytest.mark.parametrize("stage", ["count", "ablate"])
+def test_workers_flag_is_gone(run_copy, stage):
+    argv = [stage, "--out", str(run_copy), "--workers", "2"]
+    if stage == "count":
+        argv += ["--paths", str(run_copy / "paths.txt")]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2

@@ -159,8 +159,9 @@ def test_em_noise_free_recovery():
     assert np.all(model.params.alpha >= 1.0 - 1e-9)
     assert np.all(model.params.beta <= 1e-9)
     assert model.params.rho == pytest.approx(n_true / total, rel=1e-9)
-    assert model.class_posteriors[table.index_of(np.array(vectors[0]))] > 1.0 - 1e-9
-    assert model.class_posteriors[table.index_of(np.array(vectors[1]))] < 1e-9
+    rows = table.vectors.tolist()
+    assert model.class_posteriors[rows.index(vectors[0])] > 1.0 - 1e-9
+    assert model.class_posteriors[rows.index(vectors[1])] < 1e-9
 
 
 def test_em_single_positive_class_stationary_point():

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrecon import ParseError, load_corpus, parse_paths_file, write_paths_file
-from asrecon.ingest import build_corpus, format_record, parse_lines
+from asrecon.ingest import format_record
 
 
 def test_single_path_line():
@@ -34,6 +32,14 @@ def test_loop_path_dropped_and_counted():
     assert corpus.dropped_loops == 1
     assert len(corpus.records) == 1
     assert corpus.n_path_lines == 2
+
+
+def test_dropped_loop_registers_nothing():
+    corpus = parse_paths_file("lc\tlp\t5 6 5\nrc0\t0\t1 2\nrc1\t1\t7 8 9 7\n")
+    assert corpus.dropped_loops == 2
+    assert corpus.collector_labels == ["rc0"]
+    assert corpus.period_labels == ["0"]
+    assert corpus.registry.id_to_as_number == [1, 2]
 
 
 def test_records_plus_drops_account_for_every_line():
@@ -111,19 +117,19 @@ def test_multi_file_merge_matches_single_stream(tmp_path):
     text_b = "c0\tp1\t1 2\nc2\tp0\t6 1\n"
     (tmp_path / "a.txt").write_text(text_a)
     (tmp_path / "b.txt").write_text(text_b)
-    merged = load_corpus([tmp_path / "a.txt", tmp_path / "b.txt"], workers=2)
+    merged = load_corpus([tmp_path / "a.txt", tmp_path / "b.txt"])
     single = parse_paths_file(text_a + text_b)
     assert merged.records == single.records
     assert merged.collector_labels == single.collector_labels
     assert merged.registry.id_to_as_number == single.registry.id_to_as_number
 
 
-def test_concurrent_parse_merge_is_single_owner():
-    raw_a = parse_lines(io.StringIO("c0\tp0\t1 2\n"), "a")
-    raw_b = parse_lines(io.StringIO("c1\tp0\t2 3\n"), "b")
-    corpus = build_corpus([raw_a, raw_b])
+def test_files_share_one_registry(tmp_path):
+    (tmp_path / "a.txt").write_text("c0\tp0\t1 2\n")
+    (tmp_path / "b.txt").write_text("c1\tp0\t2 3\n")
+    corpus = load_corpus([tmp_path / "a.txt", tmp_path / "b.txt"])
     assert corpus.collector_labels == ["c0", "c1"]
-    assert corpus.registry.n_nodes == 3
+    assert corpus.registry.id_to_as_number == [1, 2, 3]
 
 
 as_numbers = st.integers(min_value=0, max_value=2**32 - 1)
