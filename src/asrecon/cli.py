@@ -300,12 +300,20 @@ def cmd_eval(args, config) -> int:
 
     scores = []
     inputs = {"model.txt": out / "model.txt"}
+    labels = set()
     for spec_item in args.rec:
-        label, _, path = spec_item.rpartition("=")
+        # LABEL=PATH splits at the first "=", so a path may contain one.
+        label, sep, path = spec_item.partition("=")
+        if not sep:
+            label, path = "", spec_item
         rec_path = Path(path)
+        label = label or rec_path.stem
+        if label in labels:
+            raise StageError(f"--rec label {label!r} given twice")
+        labels.add(label)
         if not rec_path.exists():
             raise StageError(f"reconstruction file not found: {rec_path}")
-        rec = load_reconstruction(rec_path, registry, label=label or None)
+        rec = load_reconstruction(rec_path, registry, label=label)
         scores.append(score_reconstruction(rec, model, table, store))
         inputs[rec_path.name] = rec_path
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_AS_NUMBER = 2**32 - 1
+_UNSEEN = object()  # memo miss; None is a memoised loop
 
 
 class ParseError(ValueError):
@@ -98,10 +99,11 @@ def _parse_as_field(field_text: str, source: str, lineno: int) -> tuple[int, ...
         raise ParseError("empty AS path", source, lineno)
     numbers = []
     for tok in tokens:
-        try:
-            asn = int(tok)
-        except ValueError:
-            raise ParseError(f"non-numeric AS number {tok!r}", source, lineno) from None
+        # int() alone would also take "+5", "1_000" and non-ASCII digits.
+        digits = tok[1:] if tok.startswith("-") else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"non-numeric AS number {tok!r}", source, lineno)
+        asn = int(tok)
         if asn < 0 or asn > MAX_AS_NUMBER:
             raise ParseError(f"AS number {asn} outside 32-bit range", source, lineno)
         numbers.append(asn)
@@ -124,42 +126,61 @@ def _intern_label(label: str, ids: dict[str, int], labels: list[str]) -> int:
     return k
 
 
-def _parse_into(corpus: PathCorpus, lines: Iterable[str], source: str) -> None:
-    """Append one stream's paths to `corpus`, interning ids in first-seen order.
+def _parse_into(corpus: PathCorpus, streams: Iterable[tuple[Iterable[str], str]]) -> None:
+    """Append every `(lines, source)` stream's paths to `corpus`, in order.
 
-    A path whose loop survives padding compression is dropped before
-    interning, so it registers none of its ASes or labels.
+    Ids are interned in first-seen order. A path whose loop survives padding
+    compression is dropped before interning, so it registers none of its
+    ASes or labels. Route tables repeat one path once per prefix, so a line
+    seen before reuses its record (or its drop), and an AS field seen before
+    reuses its node tuple; only lines that passed every check are memoised,
+    so a bad line always raises at its first occurrence.
     """
-    collector_ids = {label: k for k, label in enumerate(corpus.collector_labels)}
-    period_ids = {label: t for t, label in enumerate(corpus.period_labels)}
+    collector_ids: dict[str, int] = {}
+    period_ids: dict[str, int] = {}
+    line_memo: dict[str, PathRecord | None] = {}
+    field_memo: dict[str, tuple[int, ...] | None] = {}
     intern = corpus.registry.intern
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        corpus.n_path_lines += 1
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 3:
-            raise ParseError(
-                f"expected 3 tab-separated fields, got {len(fields)}", source, lineno
-            )
-        collector = fields[0].strip()
-        period = fields[1].strip()
-        if not collector:
-            raise ParseError("empty collector label", source, lineno)
-        if not period:
-            raise ParseError("empty period label", source, lineno)
-        nodes = _compress_padding(_parse_as_field(fields[2], source, lineno))
-        if len(set(nodes)) != len(nodes):
-            corpus.dropped_loops += 1
-            continue
-        corpus.records.append(
-            PathRecord(
+    for lines, source in streams:
+        for lineno, line in enumerate(lines, start=1):
+            record = line_memo.get(line, _UNSEEN)
+            if record is not _UNSEEN:
+                corpus.n_path_lines += 1
+                if record is None:
+                    corpus.dropped_loops += 1
+                else:
+                    corpus.records.append(record)
+                continue
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            corpus.n_path_lines += 1
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise ParseError(
+                    f"expected 3 tab-separated fields, got {len(fields)}", source, lineno
+                )
+            collector = fields[0].strip()
+            period = fields[1].strip()
+            if not collector:
+                raise ParseError("empty collector label", source, lineno)
+            if not period:
+                raise ParseError("empty period label", source, lineno)
+            nodes = field_memo.get(fields[2], _UNSEEN)
+            if nodes is _UNSEEN:
+                as_path = _compress_padding(_parse_as_field(fields[2], source, lineno))
+                looped = len(set(as_path)) != len(as_path)
+                nodes = field_memo[fields[2]] = None if looped else tuple(map(intern, as_path))
+            if nodes is None:
+                line_memo[line] = None
+                corpus.dropped_loops += 1
+                continue
+            record = line_memo[line] = PathRecord(
                 collector_id=_intern_label(collector, collector_ids, corpus.collector_labels),
                 time_period=_intern_label(period, period_ids, corpus.period_labels),
-                nodes=tuple(map(intern, nodes)),
+                nodes=nodes,
             )
-        )
+            corpus.records.append(record)
 
 
 def _nonempty(corpus: PathCorpus, sources: Sequence[str]) -> PathCorpus:
@@ -173,17 +194,21 @@ def parse_paths_file(stream: Iterable[str] | str, source: str = "<stream>") -> P
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     corpus = PathCorpus()
-    _parse_into(corpus, stream, source)
+    _parse_into(corpus, [(stream, source)])
     return _nonempty(corpus, [source])
+
+
+def _open_in_order(sources: Sequence[str]) -> Iterator[tuple[Iterable[str], str]]:
+    for source in sources:
+        with open(source, encoding="utf-8") as fh:
+            yield fh, source
 
 
 def load_corpus(paths: Sequence[str | Path]) -> PathCorpus:
     """Parse several paths files, in the order given, into one corpus."""
     sources = [str(Path(p)) for p in paths]
     corpus = PathCorpus()
-    for source in sources:
-        with open(source, encoding="utf-8") as fh:
-            _parse_into(corpus, fh, source)
+    _parse_into(corpus, _open_in_order(sources))
     return _nonempty(corpus, sources)
 
 

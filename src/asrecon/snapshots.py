@@ -90,9 +90,11 @@ def _build(records: Sequence[PathRecord], n_total: int) -> tuple[SnapshotGraph, 
                 f"({collector_id},{time_period}) vs ({r.collector_id},{r.time_period})"
             )
 
+    # Repeated paths add no edge, so walk each distinct one once; first-seen
+    # order keeps `neighbors` in the same order. `_pick_root` still counts
+    # every record.
     neighbors: dict[int, set[int]] = {}
-    for r in records:
-        nodes = r.nodes
+    for nodes in dict.fromkeys(r.nodes for r in records):
         neighbors.setdefault(nodes[0], set())
         for a, b in zip(nodes, nodes[1:]):
             if a == b:

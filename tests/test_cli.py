@@ -295,3 +295,24 @@ def test_workers_flag_is_gone(run_copy, stage):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
+
+
+def test_eval_rec_path_may_contain_equals(run_copy):
+    assert run("threshold", "--out", str(run_copy), "--taus", "0.5") == 0
+    rec_dir = run_copy / "a=b"
+    rec_dir.mkdir()
+    shutil.copy(run_copy / "edges_naive.txt", rec_dir / "e.txt")
+    argv = ["eval", "--out", str(run_copy)]
+    plain = str(run_copy / "edges_tau_0.5.txt")  # no label: the file's stem is the label
+    assert run(*argv, "--rec", f"naive={rec_dir / 'e.txt'}", "--rec", plain) == 0
+    lines = (run_copy / "eval_summary.txt").read_text().splitlines()
+    header, *labels = [line.split("\t")[0] for line in lines if not line.startswith("#")]
+    assert labels == ["naive", "edges_tau_0.5"]
+
+
+def test_eval_repeated_label_exit_2(run_copy, capsys):
+    assert run("threshold", "--out", str(run_copy), "--taus", "0.5") == 0
+    argv = ["eval", "--out", str(run_copy)]
+    rec_a, rec_b = run_copy / "edges_naive.txt", run_copy / "edges_tau_0.5.txt"
+    assert run(*argv, "--rec", f"x={rec_a}", "--rec", f"x={rec_b}") == 2
+    assert "'x' given twice" in capsys.readouterr().err

@@ -73,6 +73,9 @@ def test_first_seen_indexing():
         ("rc0\t0\n", "3 tab-separated fields"),
         ("rc0\t0\t1 2\textra\n", "3 tab-separated fields"),
         ("rc0\t0\tfoo 2\n", "non-numeric"),
+        ("rc0\t0\t1_000 2\n", "non-numeric"),
+        ("rc0\t0\t+5 2\n", "non-numeric"),
+        ("rc0\t0\t\u0661\u0662 2\n", "non-numeric"),  # Arabic-Indic digits
         ("rc0\t0\t-3 2\n", "32-bit"),
         ("rc0\t0\t99999999999 2\n", "32-bit"),
         ("rc0\t0\t\n", "empty AS path"),
@@ -86,6 +89,30 @@ def test_malformed_lines_raise_with_line_number(line, fragment):
         parse_paths_file(text, source="bad.txt")
     assert fragment in str(err.value)
     assert "bad.txt:3" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, where, fragment",
+    [
+        ("rc0\t0\t1 2\nrc0\t0\tx 2\nrc0\t0\t1 2\nrc0\t0\tx 2\n", "bad.txt:2", "non-numeric"),
+        # The AS field is valid and seen before; the label is still checked.
+        ("rc0\t0\t1 2\n\t0\t1 2\n\t0\t1 2\n", "bad.txt:2", "empty collector"),
+        # Equal to a good line once stripped, but the raw line has 4 fields.
+        ("rc0\t0\t1 2\nrc0\t0\t1 2\t\n", "bad.txt:2", "3 tab-separated"),
+    ],
+)
+def test_repeated_malformed_line_reports_first_occurrence(text, where, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_paths_file(text, source="bad.txt")
+    assert f"{where}: " in str(err.value) and fragment in str(err.value)
+
+
+def test_repeated_loop_line_counted_each_time():
+    corpus = parse_paths_file("rc0\t0\t1 2 1\nrc0\t0\t3 4\nrc0\t0\t1 2 1\nrc1\t0\t1 2 1\n")
+    assert corpus.dropped_loops == 3
+    assert corpus.n_path_lines == 4
+    assert corpus.collector_labels == ["rc0"]
+    assert corpus.registry.id_to_as_number == [3, 4]
 
 
 def test_empty_input_rejected():
@@ -155,3 +182,67 @@ def test_round_trip_property(tmp_path_factory, entries):
     assert reparsed.records == corpus.records
     assert reparsed.registry.id_to_as_number == corpus.registry.id_to_as_number
     assert len(corpus.records) + corpus.dropped_loops == corpus.n_path_lines
+
+
+# Lines repeat, AS fields repeat under other labels, and padding, spaces and
+# loops vary, so the parser's memos are hit in every state they can be in.
+MEMO_POOL = [
+    "c0\tp0\t1 2 3\n",
+    "c1\tp0\t1 2 3\n",
+    "c0\tp1\t1 2 3\n",
+    "c0\tp0\t1 1 2 3\n",
+    " c2 \tp0\t1 2 2 3 \n",
+    "c1\tp1\t4 5 4\n",
+    "c3\tp3\t4 5 4\n",
+    "c3\tp3\t4 5 5 4\n",
+    "c0\tp0\t6 7\n",
+    "c2\tp2\t7 6 6\n",
+    "c1\tp0\t8 8\n",
+    "  # comment\n",
+    "\n",
+]
+
+
+def _line_by_line(lines: list[str]):
+    """The corpus fields, computed one line at a time with no memo."""
+    rendered, ases, collectors, periods = [], [], [], []
+    loops = path_lines = 0
+    for line in lines:
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        path_lines += 1
+        collector, period, field_text = (f.strip() for f in line.split("\t"))
+        path = [int(t) for t in field_text.split()]
+        path = [a for i, a in enumerate(path) if i == 0 or a != path[i - 1]]
+        if len(set(path)) != len(path):
+            loops += 1
+            continue
+        for seen, items in ((collectors, [collector]), (periods, [period]), (ases, path)):
+            for item in items:
+                if item not in seen:
+                    seen.append(item)
+        rendered.append(f"{collector}\t{period}\t" + " ".join(map(str, path)))
+    return rendered, ases, collectors, periods, loops, path_lines
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from(MEMO_POOL), max_size=25),
+    st.lists(st.sampled_from(MEMO_POOL), max_size=25),
+)
+def test_memoised_parse_matches_line_by_line(tmp_path_factory, lines_a, lines_b):
+    tmp = tmp_path_factory.mktemp("memo")
+    (tmp / "a.txt").write_text("".join(lines_a))
+    (tmp / "b.txt").write_text("".join(lines_b))
+    rendered, ases, collectors, periods, loops, path_lines = _line_by_line(lines_a + lines_b)
+    if path_lines == 0:
+        with pytest.raises(ParseError, match="no path records"):
+            load_corpus([tmp / "a.txt", tmp / "b.txt"])
+        return
+    corpus = load_corpus([tmp / "a.txt", tmp / "b.txt"])
+    assert [format_record(corpus, r) for r in corpus.records] == rendered
+    assert corpus.registry.id_to_as_number == ases
+    assert corpus.collector_labels == collectors
+    assert corpus.period_labels == periods
+    assert corpus.dropped_loops == loops
+    assert corpus.n_path_lines == path_lines

@@ -63,6 +63,26 @@ def test_root_is_most_frequent_first_node():
     assert (5, 7) in _edge_set(graph)
 
 
+def test_root_counts_repeated_paths():
+    # Dropping the repeat before the root choice would tie 5 and 7 and pick 5.
+    graph = build_snapshot(_records((5, 1), (7, 5), (7, 5)), n_total=8)
+    assert graph.root == 7
+
+
+def test_repeated_paths_build_the_same_snapshot():
+    distinct = [(0, 1, 2), (0, 1, 3), (4, 5), (0, 2), (2, 6, 3)]
+    repeated = _records(*distinct, (0, 1, 2), (4, 5), (2, 6, 3), (0, 1, 2), (0, 2))
+    once = build_snapshot(_records(*distinct), n_total=7)
+    again = build_snapshot(repeated, n_total=7)
+    assert again.root == once.root == 0
+    np.testing.assert_array_equal(again.edges, once.edges)
+    assert list(again.adjacency) == list(once.adjacency) == [0, 1, 2, 3, 6]  # first seen
+    for node, nbrs in once.adjacency.items():
+        np.testing.assert_array_equal(again.adjacency[node], nbrs)
+    assert again.n_pruned == once.n_pruned == 2
+    np.testing.assert_array_equal(bfs_levels(again), bfs_levels(once))
+
+
 def test_root_tie_breaks_to_first_seen():
     graph = build_snapshot(_records((3, 1), (2, 1)), n_total=4)
     assert graph.root == 3
