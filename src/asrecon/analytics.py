@@ -236,23 +236,31 @@ def collector_ablation(
     """Refit on the first k collectors of shuffled orderings, for every k.
 
     Quantifies how much each additional collector sharpens the inference;
-    reported as mean and standard deviation over the orderings.
+    reported as mean and standard deviation over the orderings. Each prefix
+    table is projected from the next longer one, which gives the same table
+    as projecting the full table, from fewer classes.
     """
     m = table.n_collectors
     if orderings is None:
+        if n_orderings < 1:
+            raise ValueError("n_orderings must be at least 1")
         rng = np.random.default_rng(seed)
         perms = np.stack([rng.permutation(m) for _ in range(n_orderings)])
     else:
         perms = np.asarray([list(o) for o in orderings], dtype=np.int64)
+        if perms.shape[0] == 0:
+            raise ValueError("orderings must hold at least one ordering")
         if perms.ndim != 2 or perms.shape[1] != m:
             raise ValueError(f"orderings must each list all {m} collectors")
 
     def _curve(perm: np.ndarray) -> np.ndarray:
         values = np.empty(m, dtype=np.float64)
-        for k in range(1, m + 1):
-            sub = project_classes(table, perm[:k].tolist())
+        sub = project_classes(table, perm.tolist())
+        for k in range(m, 0, -1):
             model = em_fit(sub, tol=tol, max_iters=max_iters)
             values[k - 1] = normalized_entropy(model, sub)
+            if k > 1:
+                sub = project_classes(sub, range(k - 1))
         return values
 
     h_norm = np.stack([_curve(p) for p in perms])

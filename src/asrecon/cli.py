@@ -315,7 +315,7 @@ def cmd_eval(args, config) -> int:
             raise StageError(f"reconstruction file not found: {rec_path}")
         rec = load_reconstruction(rec_path, registry, label=label)
         scores.append(score_reconstruction(rec, model, table, store))
-        inputs[rec_path.name] = rec_path
+        inputs[path] = rec_path  # as given: two files may share a name
 
     header = _make_header("evaluation", {"rec": list(args.rec)}, inputs)
     artifacts.write_eval_summary(scores, out / "eval_summary.txt", header)

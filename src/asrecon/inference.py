@@ -111,6 +111,20 @@ def _as_matrix(vectors: np.ndarray) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
+def _log_likelihoods(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(L_alpha, L_beta) of float count rows laid out E_0, F_0, E_1, F_1, ...
+
+    Both columns come from one matrix product with the log rates interleaved
+    the same way.
+    """
+    rates = np.stack([params.alpha, params.beta], axis=1)
+    log_rates = np.empty((2 * params.n_collectors, 2))
+    log_rates[0::2] = np.log(rates)
+    log_rates[1::2] = np.log1p(-rates)
+    joint = x @ log_rates
+    return np.log(params.rho) + joint[:, 0], np.log1p(-params.rho) + joint[:, 1]
+
+
 def class_log_likelihoods(
     vectors: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,10 +138,7 @@ def class_log_likelihoods(
         raise InferenceError(
             f"vector width {arr.shape[1]} does not match {params.n_collectors} collectors"
         )
-    pos = arr[:, 0::2]
-    neg = arr[:, 1::2]
-    l_alpha = np.log(params.rho) + pos @ np.log(params.alpha) + neg @ np.log1p(-params.alpha)
-    l_beta = np.log1p(-params.rho) + pos @ np.log(params.beta) + neg @ np.log1p(-params.beta)
+    l_alpha, l_beta = _log_likelihoods(arr, params)
     if single:
         return l_alpha[0], l_beta[0]
     return l_alpha, l_beta
@@ -180,18 +191,25 @@ def em_fit(
     """Fit rates and prior by EM; converged when the relative log-density change < tol.
 
     Raises InferenceError if the log-density ever decreases beyond numerical
-    slack (the ascent property certifies the M-step) or becomes non-finite.
+    slack (the ascent property certifies the M-step) or becomes non-finite,
+    and for a max_iters below 1 or a tol that is negative or not finite.
     """
+    if max_iters < 1:
+        raise InferenceError(f"max_iters must be at least 1, got {max_iters}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InferenceError(f"tol must be finite and non-negative, got {tol!r}")
     params = (init or default_init(table)).clamped()
     if params.n_collectors != table.n_collectors:
         raise InferenceError(
             f"init has {params.n_collectors} collectors, table has {table.n_collectors}"
         )
 
+    # Convert the table once; each E-step and M-step is then one matrix product.
     m = table.multiplicity.astype(np.float64)
-    pos = table.pos_counts.astype(np.float64)
-    neg = table.neg_counts.astype(np.float64)
-    opportunities = pos + neg
+    x = table.vectors.astype(np.float64)
+    # [E | E+F]: weighted by the rows m*q and m*(1-q) it sums to
+    # [num_a | den_a] and [num_b | den_b].
+    pos_opp = np.concatenate([x[:, 0::2], x[:, 0::2] + x[:, 1::2]], axis=1)
     total_pairs = float(table.total_pairs)
     has_zero_class = not table.vectors[table.zero_class_index].any()
 
@@ -204,7 +222,7 @@ def em_fit(
 
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        l_alpha, l_beta = class_log_likelihoods(table.vectors, params)
+        l_alpha, l_beta = _log_likelihoods(x, params)
         ld = float(np.sum(m * np.logaddexp(l_alpha, l_beta)))
         if not np.isfinite(ld):
             raise InferenceError(
@@ -228,13 +246,9 @@ def em_fit(
         if iterations == max_iters:
             break  # keep params, posteriors, and log_density mutually consistent
 
-        w_edge = m * q
-        w_gap = m * (1.0 - q)
-        rho = float(np.sum(w_edge)) / total_pairs
-        num_a = (pos * w_edge[:, None]).sum(axis=0)
-        den_a = (opportunities * w_edge[:, None]).sum(axis=0)
-        num_b = (pos * w_gap[:, None]).sum(axis=0)
-        den_b = (opportunities * w_gap[:, None]).sum(axis=0)
+        weights = np.stack([m * q, m * (1.0 - q)])
+        rho = float(np.sum(weights[0])) / total_pairs
+        (num_a, den_a), (num_b, den_b) = (weights @ pos_opp).reshape(2, 2, table.n_collectors)
 
         alpha = params.alpha.copy()
         beta = params.beta.copy()
@@ -258,7 +272,7 @@ def em_fit(
         # The likelihood is invariant under exchanging the two labelings;
         # keep the sparse branch, which is the physical one.
         params = params.swapped()
-        l_alpha, l_beta = class_log_likelihoods(table.vectors, params)
+        l_alpha, l_beta = _log_likelihoods(x, params)
         q = _expit(l_alpha - l_beta)
         if has_zero_class:
             q[table.zero_class_index] = params.rho

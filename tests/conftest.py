@@ -91,6 +91,22 @@ def build_table(vectors, multiplicity, n_periods, n_nodes, total_pairs=None) -> 
     return table
 
 
+def random_table(
+    rng: np.random.Generator, max_collectors: int = 5, max_periods: int = 6
+) -> ClassTable:
+    """A valid class table of random counts: E + F <= T for every collector."""
+    n_collectors = int(rng.integers(1, max_collectors + 1))
+    n_periods = int(rng.integers(1, max_periods + 1))
+    pos = rng.integers(0, n_periods + 1, size=(int(rng.integers(1, 40)), n_collectors))
+    neg = rng.integers(0, n_periods - pos + 1)
+    vectors = np.empty((pos.shape[0], 2 * n_collectors), dtype=np.int64)
+    vectors[:, 0::2], vectors[:, 1::2] = pos, neg
+    vectors = np.unique(vectors[vectors.any(axis=1)], axis=0)
+    multiplicity = rng.integers(1, 30, size=vectors.shape[0])
+    n_nodes = int(np.sqrt(2 * multiplicity.sum())) + 3  # leaves pairs for the zero class
+    return build_table(vectors, multiplicity, n_periods, n_nodes)
+
+
 def store_vector(corpus, store, as_a, as_b):
     """Observation vector for an AS pair, or None if unobserved."""
     reg = corpus.registry

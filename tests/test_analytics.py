@@ -238,6 +238,16 @@ def test_ablation_explicit_orderings(micro_counted):
     assert result.h_norm[0, 1] == pytest.approx(result.h_norm[1, 1], rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [({"n_orderings": 0}, "n_orderings must be at least 1"), ({"orderings": []}, "at least one")],
+)
+def test_ablation_rejects_no_orderings(micro_counted, options, message):
+    _, _, table = micro_counted
+    with pytest.raises(ValueError, match=message):
+        collector_ablation(table, **options)
+
+
 def test_duplicated_collector_never_raises_entropy(micro_counted):
     _, _, table = micro_counted
     single = project_classes(table, [0])

@@ -316,3 +316,35 @@ def test_eval_repeated_label_exit_2(run_copy, capsys):
     rec_a, rec_b = run_copy / "edges_naive.txt", run_copy / "edges_tau_0.5.txt"
     assert run(*argv, "--rec", f"x={rec_a}", "--rec", f"x={rec_b}") == 2
     assert "'x' given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-iters", "0", "max_iters"),
+        ("--max-iters", "-2", "max_iters"),
+        ("--tol", "nan", "tol"),
+    ],
+)
+def test_fit_bad_iteration_options_exit_2(run_copy, capsys, option, value, message):
+    assert run("fit", "--out", str(run_copy), option, value) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_ablate_zero_orderings_exit_2(run_copy, capsys):
+    assert run("ablate", "--out", str(run_copy), "--orderings", "0") == 2
+    assert "n_orderings must be at least 1" in capsys.readouterr().err
+
+
+def test_eval_header_hashes_each_rec_path(run_copy):
+    assert run("threshold", "--out", str(run_copy), "--taus", "0.5") == 0
+    recs = []
+    for name, source in (("e1", "edges_naive.txt"), ("e2", "edges_tau_0.5.txt")):
+        (run_copy / name).mkdir()
+        recs.append(run_copy / name / "edges.txt")
+        shutil.copy(run_copy / source, recs[-1])
+    argv = ["eval", "--out", str(run_copy), "--rec", f"a={recs[0]}", "--rec", f"b={recs[1]}"]
+    assert run(*argv) == 0
+    lines = (run_copy / "eval_summary.txt").read_text().splitlines()
+    inputs = [line for line in lines if line.startswith("# input") and "edges.txt" in line]
+    assert len({line.split()[-1] for line in inputs}) == 2

@@ -19,7 +19,7 @@ from asrecon import (
     unique_rows,
 )
 from asrecon.snapshots import build_all_snapshots
-from tests.conftest import MICRO_EXPECTED, MICRO_UNOBSERVED, store_vector
+from tests.conftest import MICRO_EXPECTED, MICRO_UNOBSERVED, random_table, store_vector
 
 
 def test_path_graph_hand_counts():
@@ -146,6 +146,24 @@ def test_projection_rejects_bad_subsets(micro_counted):
         project_classes(table, [0, 0])
     with pytest.raises(CountingError):
         project_classes(table, [2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_nested_projection_equals_direct_projection(seed):
+    rng = np.random.default_rng(seed)
+    table = random_table(rng)
+    perm = rng.permutation(table.n_collectors).tolist()
+    permuted = project_classes(table, perm)
+    chained = permuted
+    for k in range(table.n_collectors, 0, -1):
+        direct = project_classes(table, perm[:k])
+        chained = project_classes(chained, range(k))  # prefix k from prefix k + 1
+        for nested in (project_classes(permuted, range(k)), chained):
+            assert np.array_equal(nested.vectors, direct.vectors)
+            assert np.array_equal(nested.multiplicity, direct.multiplicity)
+            assert nested.n_collectors == direct.n_collectors == k
+            assert nested.total_pairs == direct.total_pairs
 
 
 def test_noise_free_simulation_counts():

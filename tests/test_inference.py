@@ -13,13 +13,21 @@ from hypothesis import strategies as st
 from asrecon import (
     InferenceError,
     ModelParams,
+    SimConfig,
     class_log_likelihoods,
     em_fit,
+    generate,
     log_density,
     posterior_edge_prob,
 )
-from asrecon.inference import default_init, naive_graph_density
-from tests.conftest import build_table
+from asrecon.inference import (
+    CLAMP_EPS,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    default_init,
+    naive_graph_density,
+)
+from tests.conftest import build_table, random_table
 
 
 def direct_posterior_mp(vector, params: ModelParams, dps: int = 60) -> float:
@@ -56,6 +64,79 @@ def pairwise_log_density(table, params: ModelParams) -> float:
         l_a, l_b = class_log_likelihoods(row, params)
         total += int(mult) * float(np.logaddexp(l_a, l_b))
     return total
+
+
+def reference_e_step(table, params: ModelParams) -> tuple[float, np.ndarray, float]:
+    """Log-density, class posteriors, and the summed magnitude of the joint
+    log-likelihoods, from strided views of a fresh float copy of the table.
+
+    The magnitude sets the absolute error of the log-density: with every class
+    explained almost surely it is a sum of terms near 0, each rounded at the
+    scale of the log-likelihoods it combines.
+    """
+    arr = table.vectors.astype(np.float64)
+    l_a = np.log(params.rho) + arr[:, 0::2] @ np.log(params.alpha)
+    l_a = l_a + arr[:, 1::2] @ np.log1p(-params.alpha)
+    l_b = np.log1p(-params.rho) + arr[:, 0::2] @ np.log(params.beta)
+    l_b = l_b + arr[:, 1::2] @ np.log1p(-params.beta)
+    with np.errstate(over="ignore"):
+        q = 1.0 / (1.0 + np.exp(-(l_a - l_b)))
+    q[table.zero_class_index] = params.rho
+    m = table.multiplicity.astype(np.float64)
+    scale = float(np.sum(m * (np.abs(l_a) + np.abs(l_b))))
+    return float(np.sum(m * np.logaddexp(l_a, l_b))), q, scale
+
+
+def reference_em(table, init: ModelParams | None = None, max_iters: int = DEFAULT_MAX_ITERS):
+    """EM in its plain form, with an M-step of broadcast sums; the reference for em_fit."""
+    params = (init or default_init(table)).clamped()
+    m = table.multiplicity.astype(np.float64)
+    pos = table.pos_counts.astype(np.float64)
+    opportunities = pos + table.neg_counts.astype(np.float64)
+    history = []
+    while True:
+        ld, q, _ = reference_e_step(table, params)
+        history.append(ld)
+        if len(history) > 1 and abs(ld - history[-2]) / max(abs(ld), CLAMP_EPS) < DEFAULT_TOL:
+            break
+        if len(history) == max_iters:
+            break
+        w_edge, w_gap = m * q, m * (1.0 - q)
+        rates = []
+        for w, old in ((w_edge, params.alpha), (w_gap, params.beta)):
+            num = (pos * w[:, None]).sum(axis=0)
+            den = (opportunities * w[:, None]).sum(axis=0)
+            rate = np.divide(num, den, out=old.copy(), where=den > 0.0)
+            rates.append(np.clip(rate, CLAMP_EPS, 1.0 - CLAMP_EPS))
+        rho = float(np.clip(np.sum(w_edge) / table.total_pairs, CLAMP_EPS, 1.0 - CLAMP_EPS))
+        params = ModelParams(alpha=rates[0], beta=rates[1], rho=rho)
+    if params.rho > 0.5:
+        params = params.swapped()
+        q = reference_e_step(table, params)[1]
+    return params, q, history
+
+
+def assert_matches_reference(table, init: ModelParams | None = None, max_iters=DEFAULT_MAX_ITERS):
+    """Same iterations, and history, rates, prior and posteriors within 1e-12 relative.
+
+    The last log-density and the posteriors are checked against the reference
+    E-step at em_fit's own final rates. Near 1, a one-ulp change in a rate
+    moves log(1 - rate) by far more than an ulp, so two equally valid
+    summation orders can leave the posteriors of pairs with misses more than
+    1e-12 apart even when the rates agree to the last bits.
+    """
+    model = em_fit(table, init=init, max_iters=max_iters)
+    params, _, history = reference_em(table, init, max_iters=max_iters)
+    assert model.iterations == len(history)
+    close = dict(rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(model.history[:-1], history[:-1], **close)
+    np.testing.assert_allclose(model.params.alpha, params.alpha, **close)
+    np.testing.assert_allclose(model.params.beta, params.beta, **close)
+    np.testing.assert_allclose(model.params.rho, params.rho, **close)
+    ld, q, scale = reference_e_step(table, model.params)
+    np.testing.assert_allclose(model.history[-1], ld, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(model.class_posteriors, q, **close)
+    return model
 
 
 def test_zero_vector_returns_prior_exactly():
@@ -236,6 +317,66 @@ def test_em_rejects_mismatched_init(micro_counted):
     _, _, table = micro_counted
     with pytest.raises(InferenceError, match="collectors"):
         em_fit(table, init=ModelParams(alpha=np.array([0.9]), beta=np.array([0.1]), rho=0.1))
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_em_matches_reference_on_micro(micro_counted, mirrored):
+    _, _, table = micro_counted
+    init = None
+    if mirrored:  # converges to the mirror optimum, so the relabel path runs too
+        init = ModelParams(alpha=np.array([0.05, 0.05]), beta=np.array([0.97, 0.97]), rho=0.9)
+    model = assert_matches_reference(table, init)
+    q = reference_em(table, init)[1]
+    np.testing.assert_allclose(model.class_posteriors, q, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=10, max_value=40),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from([0.0, 0.05]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_em_matches_reference_on_simulated_tables(n, collectors, periods, p_miss, p_false, seed):
+    config = SimConfig(
+        n_nodes=n, n_collectors=collectors, n_periods=periods, graph_model="preferential",
+        p_miss=p_miss, p_false_edge=p_false, p_reroute=0.2, seed=seed,
+    )
+    assert_matches_reference(generate(config).table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_em_step_matches_reference_on_random_tables(seed):
+    # One EM step from a drawn start. Whole fits are compared on counted
+    # tables above: on arbitrary tables a path may pass a rate clamped at
+    # 1e-12 and leave it again, which multiplies ulp differences along it.
+    rng = np.random.default_rng(seed)
+    table = random_table(rng)
+    start = ModelParams(
+        alpha=rng.uniform(0.01, 0.99, size=table.n_collectors),
+        beta=rng.uniform(0.01, 0.99, size=table.n_collectors),
+        rho=float(rng.uniform(0.01, 0.99)),
+    )
+    assert_matches_reference(table, start, max_iters=2)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"max_iters": 0}, "max_iters"),
+        ({"max_iters": -2}, "max_iters"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": -1e-3}, "tol"),
+    ],
+)
+def test_em_rejects_bad_iteration_options(micro_counted, options, message):
+    _, _, table = micro_counted
+    with pytest.raises(InferenceError, match=message):
+        em_fit(table, **options)
 
 
 def test_naive_density(micro_counted):
