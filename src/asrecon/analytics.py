@@ -19,13 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import ClassTable, PairStore, project_classes
-from .inference import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    FittedModel,
-    em_fit,
-    posterior_edge_prob,
-)
+from .inference import DEFAULT_MAX_ITERS, DEFAULT_TOL, FittedModel, em_fit
 from .ingest import AsRegistry
 
 logger = logging.getLogger(__name__)
@@ -87,12 +81,6 @@ def normalized_entropy(model: FittedModel, table: ClassTable) -> float:
     return total / (float(table.total_pairs) * prior_h)
 
 
-def _store_posteriors(model: FittedModel, store: PairStore) -> np.ndarray:
-    if store.class_index is not None:
-        return model.class_posteriors[store.class_index]
-    return posterior_edge_prob(store.vectors, model.params)
-
-
 def node_entropy(model: FittedModel, store: PairStore) -> np.ndarray:
     """Summed posterior entropy over each node's pairs, observed or not.
 
@@ -105,7 +93,7 @@ def node_entropy(model: FittedModel, store: PairStore) -> np.ndarray:
     if store.n_pairs == 0:
         return out
     i, j = store.pairs_ij()
-    h = edge_entropy(_store_posteriors(model, store))
+    h = edge_entropy(model.class_posteriors)[store.class_index]
     np.add.at(out, i, h - h_prior)
     np.add.at(out, j, h - h_prior)
     return out
@@ -192,11 +180,13 @@ def posterior_predictive_check(
     observation opportunities (E + F). Routing itself is not re-simulated:
     opportunities are fixed by path structure the model does not generate.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     rng = np.random.default_rng(seed)
-    pos = store.vectors[:, 0::2]
-    opportunities = pos + store.vectors[:, 1::2]
-    observed_totals = pos.sum(axis=1)
-    q = _store_posteriors(model, store)
+    t, ci = store.table, store.class_index
+    opportunities = (t.pos_counts + t.neg_counts)[ci]
+    observed_totals = t.pos_counts.sum(axis=1)[ci]
+    q = model.class_posteriors[ci]
 
     lo = -(PPC_BINS // 2) * PPC_BIN_WIDTH
     edges = np.arange(lo, lo + (PPC_BINS + 1) * PPC_BIN_WIDTH, PPC_BIN_WIDTH)
@@ -298,7 +288,7 @@ def connectivity_stats(store: PairStore) -> ConnectivityStats:
     from scipy.sparse.csgraph import connected_components
 
     n = store.n_nodes
-    positive = store.vectors[:, 0::2].any(axis=1)
+    positive = store.table.pos_counts.any(axis=1)[store.class_index]
     i, j = store.pairs_ij()
     i, j = i[positive], j[positive]
 

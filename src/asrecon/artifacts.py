@@ -44,12 +44,14 @@ def config_hash(items: Mapping[str, object]) -> str:
 def header_lines(
     artifact: str,
     config: Mapping[str, object] | None = None,
-    inputs: Mapping[str, str] | None = None,
+    inputs: Sequence[tuple[str, str]] = (),
 ) -> list[str]:
+    """The comment lines that open an artifact; `inputs` are (name, sha256) pairs,
+    one `# input` line each, in order, so a name may repeat."""
     lines = [f"# asrecon {__version__} artifact={artifact}"]
     if config is not None:
         lines.append(f"# config sha256:{config_hash(config)}")
-    for name, digest in (inputs or {}).items():
+    for name, digest in inputs:
         lines.append(f"# input {name} sha256:{digest}")
     return lines
 
@@ -168,8 +170,6 @@ def write_pairs(
     store: PairStore, registry: AsRegistry, path: str | Path, header: Sequence[str] = ()
 ) -> None:
     """One `as_i as_j class_index` line per observed pair, as_i < as_j."""
-    if store.class_index is None:
-        raise ArtifactError("pair store has no class assignment; compact it first")
     as_numbers = np.asarray(registry.id_to_as_number, dtype=np.int64)
     i, j = store.pairs_ij()
     as_i, as_j = as_numbers[i], as_numbers[j]
@@ -185,8 +185,11 @@ def write_pairs(
 
 
 def read_pairs(path: str | Path, registry: AsRegistry, table: ClassTable) -> PairStore:
-    rows = _load_matrix(path, path, np.int64, 3, "as_i as_j class_index")
+    """The stored pairs of `path`, with their classes in `table`."""
     n = registry.n_nodes
+    if n != table.n_nodes:
+        raise ArtifactError(f"{path}: registry has {n} ASes, the class table {table.n_nodes}")
+    rows = _load_matrix(path, path, np.int64, 3, "as_i as_j class_index")
     as_numbers = np.asarray(registry.id_to_as_number, dtype=np.int64)
     by_as = np.argsort(as_numbers)
     sorted_as = as_numbers[by_as]
@@ -208,14 +211,7 @@ def read_pairs(path: str | Path, registry: AsRegistry, table: ClassTable) -> Pai
     class_index = class_index[order]
     if np.any(pair_ids[1:] == pair_ids[:-1]):
         raise ArtifactError(f"{path}: a pair is listed twice")
-    return PairStore(
-        n_nodes=n,
-        n_collectors=table.n_collectors,
-        n_periods=table.n_periods,
-        pair_ids=pair_ids,
-        vectors=table.vectors[class_index],
-        class_index=class_index,
-    )
+    return PairStore(table=table, pair_ids=pair_ids, class_index=class_index)
 
 
 # -- fitting stage ------------------------------------------------------------

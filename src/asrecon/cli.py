@@ -128,11 +128,12 @@ def _load_model(out: Path, table):
     return model
 
 
-def _make_header(artifact: str, config: dict, inputs: dict[str, Path]) -> list[str]:
+def _make_header(artifact: str, config: dict, inputs: list[tuple[str, Path]]) -> list[str]:
+    """Artifact header lines; `inputs` are (name, path) pairs, hashed in order."""
     return artifacts.header_lines(
         artifact,
         config=config,
-        inputs={name: artifacts.sha256_file(p) for name, p in inputs.items()},
+        inputs=[(name, artifacts.sha256_file(p)) for name, p in inputs],
     )
 
 
@@ -171,7 +172,7 @@ def cmd_count(args, config) -> int:
     store, table = count_corpus(corpus)
 
     effective = {"paths": [str(p) for p in paths]}
-    inputs = {p.name: p for p in paths}
+    inputs = [(p.name, p) for p in paths]
     header = _make_header("counting", effective, inputs)
     header.append(f"# dropped_loops {corpus.dropped_loops}")
 
@@ -205,7 +206,7 @@ def cmd_fit(args, config) -> int:
     model = em_fit(table, tol=tol, max_iters=max_iters)
 
     effective = {"tol": tol, "max_iters": max_iters}
-    header = _make_header("model", effective, {"classes.txt": out / "classes.txt"})
+    header = _make_header("model", effective, [("classes.txt", out / "classes.txt")])
     artifacts.write_model(model, table, out / "model.txt", header)
     artifacts.write_class_posteriors(model.class_posteriors, out / "class_q.txt", header)
     status = "converged" if model.converged else "NOT converged"
@@ -227,7 +228,7 @@ def cmd_entropy(args, config) -> int:
     per_node = node_entropy(model, store)
 
     effective = {"min_group_size": min_group_size, "groups": groups_path}
-    inputs = {"model.txt": out / "model.txt", "pairs.txt": out / "pairs.txt"}
+    inputs = [("model.txt", out / "model.txt"), ("pairs.txt", out / "pairs.txt")]
     header = _make_header("entropy", effective, inputs)
 
     with open(out / "entropy_summary.txt", "w", encoding="utf-8") as fh:
@@ -256,7 +257,7 @@ def cmd_ppc(args, config) -> int:
     result = posterior_predictive_check(model, store, seed=seed, replicates=replicates)
 
     effective = {"seed": seed, "replicates": replicates}
-    inputs = {"model.txt": out / "model.txt", "pairs.txt": out / "pairs.txt"}
+    inputs = [("model.txt", out / "model.txt"), ("pairs.txt", out / "pairs.txt")]
     header = _make_header("ppc", effective, inputs)
     header.append(f"# pairs {result.n_pairs} replicates {result.replicates}")
     artifacts.write_histogram(result.histogram, out / "ppc_histogram.txt", header)
@@ -278,7 +279,7 @@ def cmd_report(args, config) -> int:
     model = _load_model(out, table)
     report = posterior_report(model, table)
 
-    header = _make_header("report", {}, {"model.txt": out / "model.txt"})
+    header = _make_header("report", {}, [("model.txt", out / "model.txt")])
     artifacts.write_histogram(report.histogram, out / "q_histogram.txt", header)
     with open(out / "report_summary.txt", "w", encoding="utf-8") as fh:
         for line in header:
@@ -299,8 +300,8 @@ def cmd_eval(args, config) -> int:
     model = _load_model(out, table)
 
     scores = []
-    inputs = {"model.txt": out / "model.txt"}
-    labels = set()
+    inputs = [("model.txt", out / "model.txt")]
+    labels: list[str] = []
     for spec_item in args.rec:
         # LABEL=PATH splits at the first "=", so a path may contain one.
         label, sep, path = spec_item.partition("=")
@@ -310,14 +311,14 @@ def cmd_eval(args, config) -> int:
         label = label or rec_path.stem
         if label in labels:
             raise StageError(f"--rec label {label!r} given twice")
-        labels.add(label)
+        labels.append(label)
         if not rec_path.exists():
             raise StageError(f"reconstruction file not found: {rec_path}")
         rec = load_reconstruction(rec_path, registry, label=label)
-        scores.append(score_reconstruction(rec, model, table, store))
-        inputs[path] = rec_path  # as given: two files may share a name
+        scores.append(score_reconstruction(rec, model, store))
+        inputs.append((label, rec_path))
 
-    header = _make_header("evaluation", {"rec": list(args.rec)}, inputs)
+    header = _make_header("evaluation", {"rec": labels}, inputs)
     artifacts.write_eval_summary(scores, out / "eval_summary.txt", header)
     for s in scores:
         print(
@@ -333,7 +334,7 @@ def cmd_threshold(args, config) -> int:
     model = _load_model(out, table)
     taus_text = _opt(args, config, "taus", str, "0.1,0.5,0.9")
     taus = [float(t) for t in taus_text.split(",") if t.strip()]
-    header = _make_header("edges", {"taus": taus_text}, {"model.txt": out / "model.txt"})
+    header = _make_header("edges", {"taus": taus_text}, [("model.txt", out / "model.txt")])
 
     for tau in taus:
         rec = threshold_reconstruction(model, store, tau)
@@ -355,7 +356,7 @@ def cmd_ablate(args, config) -> int:
     result = collector_ablation(table, n_orderings=n_orderings, seed=seed)
 
     effective = {"seed": seed, "orderings": n_orderings}
-    header = _make_header("ablation", effective, {"classes.txt": out / "classes.txt"})
+    header = _make_header("ablation", effective, [("classes.txt", out / "classes.txt")])
     artifacts.write_ablation(
         result.orderings,
         result.h_norm,

@@ -36,19 +36,20 @@ def total_pair_count(n_nodes: int) -> int:
 
 @dataclass
 class PairStore:
-    """Observation vectors for every pair that was observed at least once.
+    """The class of every pair that was observed at least once.
 
-    Pairs are keyed by `i * n_nodes + j` with i < j; `vectors` rows are
-    `[E_1, F_1, ..., E_M, F_M]` aligned with `pair_ids`. Unobserved pairs are
-    implicit; they all share the all-zero vector.
+    Pairs are keyed by `i * n_nodes + j` with i < j, sorted; `class_index`
+    holds each pair's row of `table`. Unobserved pairs are implicit; they all
+    belong to the all-zero class.
     """
 
-    n_nodes: int
-    n_collectors: int
-    n_periods: int
+    table: ClassTable
     pair_ids: np.ndarray
-    vectors: np.ndarray
-    class_index: np.ndarray | None = None
+    class_index: np.ndarray
+
+    @property
+    def n_nodes(self) -> int:
+        return self.table.n_nodes
 
     @property
     def n_pairs(self) -> int:
@@ -58,7 +59,7 @@ class PairStore:
         return self.pair_ids // self.n_nodes, self.pair_ids % self.n_nodes
 
     def row_of(self, i: int, j: int) -> int | None:
-        """Index into pair_ids/vectors for pair (i, j), or None if unobserved."""
+        """Index into pair_ids/class_index for pair (i, j), or None if unobserved."""
         if i == j:
             raise CountingError("self pairs carry no observations")
         if i > j:
@@ -71,7 +72,7 @@ class PairStore:
 
     def vector_of(self, i: int, j: int) -> np.ndarray | None:
         row = self.row_of(i, j)
-        return None if row is None else self.vectors[row]
+        return None if row is None else self.table.vectors[self.class_index[row]]
 
 
 @dataclass
@@ -203,11 +204,24 @@ def count_observations(
     n_collectors: int,
     n_periods: int,
 ) -> PairStore:
-    """Aggregate per-snapshot observations into per-pair count vectors.
+    """Aggregate per-snapshot observations into per-pair count vectors, and
+    compact those into classes.
 
     Snapshots are merged by pair id, so the result does not depend on their
     order.
     """
+    # The per-snapshot observations are freed before compaction allocates.
+    pair_ids, vectors = _pair_vectors(snapshots, n_nodes, n_collectors, n_periods)
+    return compact_classes(pair_ids, vectors, n_nodes, n_periods)
+
+
+def _pair_vectors(
+    snapshots: Sequence[tuple[SnapshotGraph, np.ndarray]],
+    n_nodes: int,
+    n_collectors: int,
+    n_periods: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ids of the observed pairs and their `[E_1, F_1, ...]` rows."""
     pos_by_k: list[list[np.ndarray]] = [[] for _ in range(n_collectors)]
     neg_by_k: list[list[np.ndarray]] = [[] for _ in range(n_collectors)]
     for graph, levels in snapshots:
@@ -251,48 +265,45 @@ def count_observations(
             f"for collector {int(bad[1])}"
         )
 
-    return PairStore(
-        n_nodes=n_nodes,
-        n_collectors=n_collectors,
-        n_periods=n_periods,
-        pair_ids=union,
-        vectors=vectors,
-    )
+    return union, vectors
 
 
-def compact_classes(store: PairStore, total_pairs: int | None = None) -> ClassTable:
+def compact_classes(
+    pair_ids: np.ndarray,
+    vectors: np.ndarray,
+    n_nodes: int,
+    n_periods: int,
+    total_pairs: int | None = None,
+) -> PairStore:
     """Collapse identical observation vectors into weighted classes.
 
-    The implicit all-zero class receives every pair absent from the store.
-    Also fills ``store.class_index`` so each stored pair can find its class.
+    `vectors` rows are `[E_1, F_1, ..., E_M, F_M]`, aligned with the sorted
+    `pair_ids`. The implicit all-zero class receives every pair absent from
+    them. Returns the store of each pair's class, which carries the table.
     """
     if total_pairs is None:
-        total_pairs = total_pair_count(store.n_nodes)
+        total_pairs = total_pair_count(n_nodes)
     if total_pairs >= 2**63:
         raise CountingError("pair count exceeds 64-bit multiplicities")
-    if store.n_pairs > total_pairs:
-        raise CountingError(f"{store.n_pairs} observed pairs exceed total {total_pairs}")
+    n_pairs = int(pair_ids.size)
+    if n_pairs > total_pairs:
+        raise CountingError(f"{n_pairs} observed pairs exceed total {total_pairs}")
 
-    width = 2 * store.n_collectors
-    uniq, inverse, counts = unique_rows(store.vectors)
-
-    vectors = np.vstack([np.zeros((1, width), dtype=np.int64), uniq.astype(np.int64)])
-    multiplicity = np.concatenate(
-        [np.array([total_pairs - store.n_pairs], dtype=np.int64), counts.astype(np.int64)]
-    )
-    store.class_index = inverse + 1
-
+    width = vectors.shape[1]
+    uniq, inverse, counts = unique_rows(vectors)
     table = ClassTable(
-        vectors=vectors,
-        multiplicity=multiplicity,
-        n_collectors=store.n_collectors,
-        n_periods=store.n_periods,
-        n_nodes=store.n_nodes,
+        vectors=np.vstack([np.zeros((1, width), dtype=np.int64), uniq.astype(np.int64)]),
+        multiplicity=np.concatenate(
+            [np.array([total_pairs - n_pairs], dtype=np.int64), counts.astype(np.int64)]
+        ),
+        n_collectors=width // 2,
+        n_periods=n_periods,
+        n_nodes=n_nodes,
         total_pairs=total_pairs,
         zero_class_index=0,
     )
     table.validate()
-    return table
+    return PairStore(table=table, pair_ids=pair_ids, class_index=inverse + 1)
 
 
 def project_classes(table: ClassTable, collectors: Sequence[int]) -> ClassTable:
@@ -343,5 +354,4 @@ def count_corpus(corpus: PathCorpus) -> tuple[PairStore, ClassTable]:
         n_collectors=corpus.n_collectors,
         n_periods=corpus.n_periods,
     )
-    table = compact_classes(store)
-    return store, table
+    return store, store.table

@@ -123,8 +123,6 @@ def log_q_no_edges(model: FittedModel, table: ClassTable) -> float:
 
 
 def _edge_posteriors(rec: Reconstruction, model: FittedModel, store: PairStore) -> np.ndarray:
-    if store.class_index is None:
-        raise EvaluationError("pair store has no class assignment; compact it first")
     ids = rec.edges[:, 0] * store.n_nodes + rec.edges[:, 1]
     pos = np.searchsorted(store.pair_ids, ids)
     pos = np.minimum(pos, max(store.n_pairs - 1, 0))
@@ -137,7 +135,7 @@ def _edge_posteriors(rec: Reconstruction, model: FittedModel, store: PairStore) 
 
 
 def score_reconstruction(
-    rec: Reconstruction, model: FittedModel, table: ClassTable, store: PairStore
+    rec: Reconstruction, model: FittedModel, store: PairStore
 ) -> ReconstructionScore:
     """Score an edge set by posterior log-probability, precision, and recall.
 
@@ -149,6 +147,7 @@ def score_reconstruction(
         raise EvaluationError(
             f"reconstruction {rec.label!r} has no scorable edges; precision undefined"
         )
+    table = store.table
     q_edges = _edge_posteriors(rec, model, store)
     log_q_edge, log_not_edge, fired_edges = _clamped_logs(q_edges)
 
@@ -179,8 +178,6 @@ def threshold_reconstruction(
     """
     if not 0.0 < tau < 1.0:
         raise EvaluationError(f"tau must lie in (0, 1), got {tau}")
-    if store.class_index is None:
-        raise EvaluationError("pair store has no class assignment; compact it first")
     q = model.class_posteriors[store.class_index]
     keep = q > tau
     i, j = store.pairs_ij()
@@ -204,6 +201,6 @@ def threshold_reconstruction(
 
 def naive_reconstruction(store: PairStore, label: str = "naive") -> Reconstruction:
     """Union of all positive observations: any pair some collector ever saw as an edge."""
-    positive = store.vectors[:, 0::2].any(axis=1)
+    positive = store.table.pos_counts.any(axis=1)[store.class_index]
     i, j = store.pairs_ij()
     return make_reconstruction(np.stack([i[positive], j[positive]], axis=1), label)

@@ -86,12 +86,15 @@ class Simulation:
     roots: np.ndarray
     corpus: PathCorpus
     store: PairStore
-    table: ClassTable
     corruptions: list[tuple[str, str, int, int]]
     empirical_alpha: np.ndarray
     empirical_beta: np.ndarray
     dropped_paths: int = 0
     regenerations: int = 0
+
+    @property
+    def table(self) -> ClassTable:
+        return self.store.table
 
     def true_edges_as(self) -> list[tuple[int, int]]:
         out = []
@@ -201,7 +204,7 @@ def generate(config: SimConfig) -> Simulation:
                 )
 
     corpus = parse_paths_file("\n".join(lines) + "\n", source="<simulation>")
-    store, table = count_corpus(corpus)
+    store, _ = count_corpus(corpus)
     alpha_emp, beta_emp = _empirical_rates(corpus, store, as_numbers, true_edges)
 
     return Simulation(
@@ -211,7 +214,6 @@ def generate(config: SimConfig) -> Simulation:
         roots=roots,
         corpus=corpus,
         store=store,
-        table=table,
         corruptions=corruptions,
         empirical_alpha=alpha_emp,
         empirical_beta=beta_emp,
@@ -269,11 +271,14 @@ def _empirical_rates(
             true_ids.add(i * nc + j)
     is_true = np.isin(store.pair_ids, np.fromiter(true_ids, dtype=np.int64, count=len(true_ids)))
 
-    pos = store.vectors[:, 0::2].astype(np.float64)
-    opp = pos + store.vectors[:, 1::2].astype(np.float64)
+    # Pairs per class, true and not; the count sums are exact integers.
+    t, ci = store.table, store.class_index
+    n_true = np.bincount(ci[is_true], minlength=t.n_classes)
+    n_false = np.bincount(ci[~is_true], minlength=t.n_classes)
+    opp = t.pos_counts + t.neg_counts
     with np.errstate(invalid="ignore", divide="ignore"):
-        alpha = pos[is_true].sum(axis=0) / opp[is_true].sum(axis=0)
-        beta = pos[~is_true].sum(axis=0) / opp[~is_true].sum(axis=0)
+        alpha = (n_true @ t.pos_counts) / (n_true @ opp)
+        beta = (n_false @ t.pos_counts) / (n_false @ opp)
     return alpha, beta
 
 

@@ -31,7 +31,7 @@ from asrecon import (
     score_reconstruction,
     threshold_reconstruction,
 )
-from asrecon.counting import PairStore, compact_classes
+from asrecon.counting import compact_classes
 from asrecon.inference import CLAMP_EPS, ModelParams
 from tests.conftest import MICRO_PATHS
 from tests.test_inference import direct_posterior_longdouble
@@ -143,14 +143,10 @@ def test_criterion_2_class_pair_equivalence():
         vectors[:, 0::2] = pos
         vectors[:, 1::2] = neg
         keep = vectors.any(axis=1)
-        store = PairStore(
-            n_nodes=n_nodes,
-            n_collectors=m,
-            n_periods=t,
-            pair_ids=(i_idx[chosen] * n_nodes + j_idx[chosen])[keep],
-            vectors=vectors[keep],
+        store = compact_classes(
+            (i_idx[chosen] * n_nodes + j_idx[chosen])[keep], vectors[keep], n_nodes, t
         )
-        table = compact_classes(store)
+        table = store.table
         assert int(table.multiplicity.sum()) == total
 
         params = ModelParams(
@@ -163,7 +159,7 @@ def test_criterion_2_class_pair_equivalence():
         # Honest pairwise oracle: one term per pair, summed exactly.
         from asrecon.inference import class_log_likelihoods
 
-        l_a, l_b = class_log_likelihoods(store.vectors, params)
+        l_a, l_b = class_log_likelihoods(vectors[keep], params)
         per_pair = np.logaddexp(l_a, l_b)
         zero_term = float(
             np.logaddexp(math.log(params.rho), math.log1p(-params.rho))
@@ -242,8 +238,9 @@ def test_criterion_5_synthetic_recovery(recovery_runs):
         observed_true = np.isin(
             sim.store.pair_ids, np.fromiter(true_ids, dtype=np.int64, count=len(true_ids))
         )
-        pos = sim.store.vectors[:, 0::2]
-        opportunities = pos + sim.store.vectors[:, 1::2]
+        vectors = sim.table.vectors[sim.store.class_index]
+        pos = vectors[:, 0::2]
+        opportunities = pos + vectors[:, 1::2]
         false_freq = float(pos[~observed_true].sum()) / float(opportunities[~observed_true].sum())
         bound = max(10.0 * false_freq, 2.0 * CLAMP_EPS)
         assert np.all(model.params.beta <= bound), (
@@ -321,11 +318,9 @@ def test_criterion_8_reconstruction_scoring():
     assert sets[0.9] <= sets[0.5] <= sets[0.1], "threshold reconstructions must nest"
 
     scores = {
-        tau: score_reconstruction(rec, model, sim.table, sim.store) for tau, rec in recs.items()
+        tau: score_reconstruction(rec, model, sim.store) for tau, rec in recs.items()
     }
-    naive = score_reconstruction(
-        naive_reconstruction(sim.store), model, sim.table, sim.store
-    )
+    naive = score_reconstruction(naive_reconstruction(sim.store), model, sim.store)
     assert scores[0.5].log_q > naive.log_q, (
         f"tau=0.5 log_q {scores[0.5].log_q:.1f} not above naive {naive.log_q:.1f} "
         f"despite {len(sim.corruptions)} injected corruptions"

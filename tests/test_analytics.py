@@ -23,7 +23,7 @@ from asrecon import (
     posterior_report,
     project_classes,
 )
-from asrecon.counting import PairStore
+from asrecon.counting import PairStore, compact_classes
 from tests.conftest import build_table
 
 
@@ -42,13 +42,7 @@ def make_model(q_values, rho=0.3, m=1) -> FittedModel:
 def store_from_edges(edges, n, n_periods=1) -> PairStore:
     rows = sorted((min(i, j) * n + max(i, j)) for i, j in edges)
     vectors = np.tile(np.array([[1, 0]], dtype=np.int64), (len(rows), 1))
-    return PairStore(
-        n_nodes=n,
-        n_collectors=1,
-        n_periods=n_periods,
-        pair_ids=np.array(rows, dtype=np.int64),
-        vectors=vectors,
-    )
+    return compact_classes(np.array(rows, dtype=np.int64), vectors, n, n_periods)
 
 
 def test_edge_entropy_values():
@@ -194,13 +188,14 @@ def test_ppc_degenerate_model_all_zero_differences():
     # Rates pinned at the clamp boundary and hard 0/1 posteriors: synthetic
     # positives equal observed positives for every pair.
     store = store_from_edges([(0, 1), (1, 2), (2, 3)], n=4, n_periods=1)
-    store.class_index = np.array([0, 0, 0])
+    assert store.table.vectors.tolist() == [[0, 0], [1, 0]]
+    assert store.class_index.tolist() == [1, 1, 1]
     params = ModelParams(
         alpha=np.array([1.0 - 1e-12]), beta=np.array([1e-12]), rho=0.25
     )
     model = FittedModel(
         params=params,
-        class_posteriors=np.array([1.0]),
+        class_posteriors=np.array([0.25, 1.0]),
         log_density=0.0,
         iterations=1,
         converged=True,
@@ -311,13 +306,7 @@ def test_connectivity_matches_dense_eigensolver():
 
 
 def test_connectivity_no_positive_edges():
-    store = PairStore(
-        n_nodes=4,
-        n_collectors=1,
-        n_periods=1,
-        pair_ids=np.array([1], dtype=np.int64),
-        vectors=np.array([[0, 1]], dtype=np.int64),
-    )
+    store = compact_classes(np.array([1], dtype=np.int64), np.array([[0, 1]]), 4, 1)
     stats = connectivity_stats(store)
     assert stats.degree.tolist() == [0, 0, 0, 0]
     assert np.all(stats.centrality == 0.0)

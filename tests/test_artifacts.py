@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from asrecon import em_fit
+from asrecon import AsRegistry, em_fit
 from asrecon.artifacts import (
     ArtifactError,
     header_lines,
@@ -59,8 +59,19 @@ def test_pairs_round_trip(tmp_path, micro_counted):
     write_pairs(store, corpus.registry, path)
     back = read_pairs(path, corpus.registry, table)
     assert np.array_equal(back.pair_ids, store.pair_ids)
-    assert np.array_equal(back.vectors, store.vectors)
     assert np.array_equal(back.class_index, store.class_index)
+    assert back.table is table
+
+
+def test_pairs_reject_registry_of_another_table(tmp_path, micro_counted):
+    corpus, store, table = micro_counted
+    path = tmp_path / "pairs.txt"
+    write_pairs(store, corpus.registry, path)
+    registry = AsRegistry()
+    for asn in [*corpus.registry.id_to_as_number, 999_999]:
+        registry.intern(asn)
+    with pytest.raises(ArtifactError, match="registry has 9 ASes"):
+        read_pairs(path, registry, table)
 
 
 def test_model_round_trip(tmp_path, micro_counted):
@@ -93,13 +104,13 @@ def test_histogram_round_trip(tmp_path):
 def test_headers_have_no_timestamps(tmp_path, micro_counted):
     _, _, table = micro_counted
     path = tmp_path / "classes.txt"
-    write_classes(table, path, header_lines("classes", config={"a": 1}, inputs={"in": "ab" * 32}))
+    write_classes(table, path, header_lines("classes", config={"a": 1}, inputs=[("in", "ab" * 32)]))
     text = path.read_text()
     head = [line for line in text.splitlines() if line.startswith("#")]
     assert any("artifact=classes" in line for line in head)
     assert any(line.startswith("# config sha256:") for line in head)
     assert any(line.startswith("# input in sha256:") for line in head)
-    write_classes(table, tmp_path / "again.txt", header_lines("classes", config={"a": 1}, inputs={"in": "ab" * 32}))
+    write_classes(table, tmp_path / "again.txt", header_lines("classes", config={"a": 1}, inputs=[("in", "ab" * 32)]))
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 

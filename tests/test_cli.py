@@ -346,5 +346,53 @@ def test_eval_header_hashes_each_rec_path(run_copy):
     argv = ["eval", "--out", str(run_copy), "--rec", f"a={recs[0]}", "--rec", f"b={recs[1]}"]
     assert run(*argv) == 0
     lines = (run_copy / "eval_summary.txt").read_text().splitlines()
-    inputs = [line for line in lines if line.startswith("# input") and "edges.txt" in line]
+    inputs = [line for line in lines if line.startswith(("# input a ", "# input b "))]
     assert len({line.split()[-1] for line in inputs}) == 2
+
+
+def test_count_hashes_each_paths_file(run_copy):
+    # Two --paths files that share a name get one `# input` line each.
+    lines = (run_copy / "paths.txt").read_text().splitlines(keepends=True)
+    data = [line for line in lines if not line.startswith("#")]
+    files = []
+    for name, part in (("a", data[::2]), ("b", data[1::2])):
+        (run_copy / name).mkdir()
+        files.append(run_copy / name / "paths.txt")
+        files[-1].write_text("".join(part))
+    assert run("count", "--out", str(run_copy), "--paths", *map(str, files)) == 0
+    header = (run_copy / "classes.txt").read_text().splitlines()
+    inputs = [line for line in header if line.startswith("# input paths.txt ")]
+    assert len(inputs) == 2 and inputs[0] != inputs[1]
+
+
+@pytest.mark.parametrize("replicates", ["0", "-3"])
+def test_ppc_without_replicates_exit_2(run_copy, capsys, replicates):
+    (run_copy / "ppc_histogram.txt").unlink(missing_ok=True)
+    assert run("ppc", "--out", str(run_copy), "--replicates", replicates) == 2
+    assert "replicates must be at least 1" in capsys.readouterr().err
+    assert not (run_copy / "ppc_histogram.txt").exists()
+
+
+def test_artifacts_do_not_depend_on_output_directory(pipeline_dir, tmp_path):
+    # Output directories whose paths differ in length, as r9 and r10 do.
+    paths = pipeline_dir / "paths.txt"
+    outs = [tmp_path / "r9", tmp_path / "r10"]
+    for out in outs:
+        o = str(out)
+        for argv in (
+            ["count", "--out", o, "--paths", str(paths)],
+            ["fit", "--out", o],
+            ["entropy", "--out", o],
+            ["ppc", "--out", o, "--seed", "7"],
+            ["report", "--out", o],
+            ["threshold", "--out", o, "--taus", "0.1,0.5,0.9"],
+            ["eval", "--out", o, "--rec", f"naive={o}/edges_naive.txt",
+             "--rec", f"{o}/edges_tau_0.5.txt"],
+            ["ablate", "--out", o, "--orderings", "2", "--seed", "3"],
+        ):
+            assert run(*argv) == 0, argv
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "eval_summary.txt" in names and "ablation_curves.txt" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

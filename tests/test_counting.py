@@ -64,9 +64,9 @@ def test_micro_corpus_classes(micro_counted):
 
 
 def test_counts_bounded_by_periods(micro_counted):
-    _, store, _ = micro_counted
-    per_collector = store.vectors[:, 0::2] + store.vectors[:, 1::2]
-    assert int(per_collector.max()) <= store.n_periods
+    _, store, table = micro_counted
+    per_collector = (table.pos_counts + table.neg_counts)[store.class_index]
+    assert int(per_collector.max()) <= table.n_periods
 
 
 def test_counting_order_independent(micro_corpus):
@@ -75,11 +75,9 @@ def test_counting_order_independent(micro_corpus):
     base = count_observations(snapshots, n, 2, 2)
     flipped = count_observations(list(reversed(snapshots)), n, 2, 2)
     assert np.array_equal(base.pair_ids, flipped.pair_ids)
-    assert np.array_equal(base.vectors, flipped.vectors)
-    t1 = compact_classes(base)
-    t2 = compact_classes(flipped)
-    assert np.array_equal(t1.vectors, t2.vectors)
-    assert np.array_equal(t1.multiplicity, t2.multiplicity)
+    assert np.array_equal(base.class_index, flipped.class_index)
+    assert np.array_equal(base.table.vectors, flipped.table.vectors)
+    assert np.array_equal(base.table.multiplicity, flipped.table.multiplicity)
 
 
 def test_inconsistent_node_count_rejected(micro_corpus):
@@ -90,34 +88,27 @@ def test_inconsistent_node_count_rejected(micro_corpus):
 
 def test_compaction_arithmetic():
     # 3 pairs share one vector, 1 pair another; N=6 leaves 11 untouched pairs.
-    from asrecon.counting import PairStore
-
     vectors = np.array([[2, 0], [2, 0], [2, 0], [0, 1]], dtype=np.int64)
     ids = np.array([0 * 6 + 1, 0 * 6 + 2, 1 * 6 + 2, 3 * 6 + 4], dtype=np.int64)
-    store = PairStore(n_nodes=6, n_collectors=1, n_periods=2, pair_ids=ids, vectors=vectors)
-    table = compact_classes(store)
+    store = compact_classes(ids, vectors, n_nodes=6, n_periods=2)
+    table = store.table
     assert table.total_pairs == 15
     by_vector = {
         tuple(int(x) for x in row): int(mult)
         for row, mult in zip(table.vectors, table.multiplicity)
     }
     assert by_vector == {(0, 0): 11, (0, 1): 1, (2, 0): 3}
-    assert store.class_index is not None
     assert table.vectors[store.class_index[0]].tolist() == [2, 0]
 
 
 def test_all_pairs_unobserved():
-    from asrecon.counting import PairStore
-
-    store = PairStore(
-        n_nodes=5,
-        n_collectors=2,
-        n_periods=1,
-        pair_ids=np.empty(0, dtype=np.int64),
-        vectors=np.empty((0, 4), dtype=np.int64),
+    store = compact_classes(
+        np.empty(0, dtype=np.int64), np.empty((0, 4), dtype=np.int64), n_nodes=5, n_periods=1
     )
-    table = compact_classes(store)
+    table = store.table
+    assert store.n_pairs == 0
     assert table.n_classes == 1
+    assert table.n_collectors == 2
     assert int(table.multiplicity[0]) == 10
 
 
@@ -179,7 +170,7 @@ def test_noise_free_simulation_counts():
         if a in reg and b in reg:
             i, j = sorted((reg.id_of(a), reg.id_of(b)))
             true_ids.add(i * reg.n_nodes + j)
-    neg = sim.store.vectors[:, 1::2].sum(axis=1)
+    neg = sim.table.neg_counts.sum(axis=1)[sim.store.class_index]
     for pid, f_total in zip(sim.store.pair_ids, neg):
         if f_total > 0:
             assert int(pid) not in true_ids
@@ -188,8 +179,6 @@ def test_noise_free_simulation_counts():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**40))
 def test_compaction_conserves_pairs(n_nodes, seed):
-    from asrecon.counting import PairStore
-
     rng = np.random.default_rng(seed)
     total = total_pair_count(n_nodes)
     n_obs = int(rng.integers(0, total + 1))
@@ -198,16 +187,15 @@ def test_compaction_conserves_pairs(n_nodes, seed):
     chosen.sort()
     vectors = rng.integers(0, 3, size=(n_obs, 4)).astype(np.int64)
     keep = vectors.any(axis=1)
-    store = PairStore(
-        n_nodes=n_nodes,
-        n_collectors=2,
-        n_periods=4,
-        pair_ids=(i[chosen] * n_nodes + j[chosen])[keep],
-        vectors=vectors[keep],
-    )
-    table = compact_classes(store)
+    pair_ids = (i[chosen] * n_nodes + j[chosen])[keep]
+    store = compact_classes(pair_ids, vectors[keep], n_nodes, n_periods=4)
+    table = store.table
     assert int(table.multiplicity.sum()) == total
     assert np.unique(table.vectors, axis=0).shape[0] == table.n_classes
+    # Each stored pair's class is its own observation vector, row for row.
+    assert np.array_equal(store.pair_ids, pair_ids)
+    assert np.array_equal(table.vectors[store.class_index], vectors[keep])
+    assert (table.n_collectors, table.n_periods, table.n_nodes) == (2, 4, n_nodes)
 
 
 def _assert_matches_np_unique(rows: np.ndarray) -> None:

@@ -47,7 +47,7 @@ def test_score_matches_pairwise_enumeration(micro_fit):
     reg = corpus.registry
     edges = [(reg.id_of(1), reg.id_of(2)), (reg.id_of(2), reg.id_of(3)), (reg.id_of(4), reg.id_of(5))]
     rec = make_reconstruction(edges, "hand")
-    score = score_reconstruction(rec, model, table, store)
+    score = score_reconstruction(rec, model, store)
     expected = brute_force_log_q({(min(e), max(e)) for e in edges}, model, store)
     assert score.log_q == pytest.approx(expected, rel=1e-9)
     assert score.edges_scored == 3
@@ -65,7 +65,7 @@ def test_posterior_mode_scores_highest(micro_fit):
     # out can only lower the adjacency log-probability.
     corpus, store, table, model = micro_fit
     mode = threshold_reconstruction(model, store, 0.5, label="mode")
-    best = score_reconstruction(mode, model, table, store)
+    best = score_reconstruction(mode, model, store)
     assert best.precision > 0.5
     assert best.recall > 0.5
 
@@ -75,13 +75,13 @@ def test_posterior_mode_scores_highest(micro_fit):
         (int(a), int(b)) for a, b in zip(i, j) if (int(a), int(b)) not in mode_set
     )
     worse = make_reconstruction(sorted(mode_set | {some_excluded}), "mode+1")
-    assert score_reconstruction(worse, model, table, store).log_q < best.log_q
+    assert score_reconstruction(worse, model, store).log_q < best.log_q
 
 
 def test_empty_reconstruction_rejected(micro_fit):
     _, store, table, model = micro_fit
     with pytest.raises(EvaluationError, match="precision undefined"):
-        score_reconstruction(make_reconstruction([], "empty"), model, table, store)
+        score_reconstruction(make_reconstruction([], "empty"), model, store)
 
 
 def test_threshold_sets_nest(micro_fit):
@@ -130,7 +130,7 @@ def test_threshold_precision_monotone(micro_fit):
     for tau in (0.1, 0.5, 0.9):
         rec = threshold_reconstruction(model, store, tau)
         if rec.n_edges:
-            scores.append(score_reconstruction(rec, model, table, store).precision)
+            scores.append(score_reconstruction(rec, model, store).precision)
     assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
 
 
@@ -140,7 +140,7 @@ def test_threshold_precision_exceeds_tau(micro_fit):
     for tau in (0.5, 0.7, 0.9):
         rec = threshold_reconstruction(model, store, tau)
         if rec.n_edges:
-            assert score_reconstruction(rec, model, table, store).precision >= tau
+            assert score_reconstruction(rec, model, store).precision >= tau
 
 
 def test_threshold_rejects_bad_tau(micro_fit):
@@ -195,7 +195,7 @@ def test_score_reports_unmatched(tmp_path, micro_fit):
     path = tmp_path / "rec.txt"
     path.write_text("1 2\n1 999999\n")
     rec = load_reconstruction(path, corpus.registry)
-    score = score_reconstruction(rec, model, table, store)
+    score = score_reconstruction(rec, model, store)
     assert score.edges_scored == 1
     assert score.edges_unmatched == 1
 
@@ -219,6 +219,6 @@ def test_clamp_counter_fires(micro_fit):
     # count must reflect them rather than silently absorbing infinities.
     _, store, table, model = micro_fit
     rec = threshold_reconstruction(model, store, 0.5)
-    score = score_reconstruction(rec, model, table, store)
+    score = score_reconstruction(rec, model, store)
     assert score.n_clamped >= 0
     assert math.isfinite(score.log_q)
